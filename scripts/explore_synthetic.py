@@ -4,14 +4,16 @@
 Generates a five-sensor SenML dataset, enumerates every configuration of
 the matching five-predicate AND query (modes x block lengths = 32767
 points), evaluates FPR and proxy cost for each, and prints the Pareto
-front. Expect a couple of minutes for the full sweep; use --cap/--records
-to shrink it.
+front. The full sweep takes about 3 s on a 2-core machine with Python
+3.11 and numpy 2.4; use --cap/--records to shrink it. --csv PATH writes
+every report, so two versions' outputs can be compared byte for byte.
 """
 
 import argparse
 from decimal import Decimal
 
 from rawfilter import ExplorerOptions, explore, parse_query
+from rawfilter.explorer import reports_to_csv
 from rawfilter.datagen import AttrSpec, GenSpec, generate_dataset, query_for_spec
 
 
@@ -32,6 +34,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--cap", type=int, default=10**6)
     parser.add_argument("--sample", type=int, default=None)
+    parser.add_argument("--csv", help="also write every report as CSV to this path")
     args = parser.parse_args()
 
     spec = build_spec(args.records, args.seed)
@@ -42,6 +45,9 @@ def main() -> None:
 
     options = ExplorerOptions(cap=args.cap, sample=args.sample, seed=args.seed)
     reports, front = explore(query, corpus, options)
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(reports_to_csv(reports))
     print(f"evaluated {len(reports)} configurations; {len(front)} Pareto points:\n")
     print(f"{'FPR':>7}  {'cost':>6}  configuration")
     for report in front:

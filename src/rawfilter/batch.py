@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scanner as _scanner
-from .filter import Mode, validate_config
+from .filter import Mode, PredicateConfig, validate_config
 from .query import And, Predicate, QueryAst
 from .ranges import NUMERIC_CLASS, RangeDfa, _IS_DIGIT, _IS_EXP, build_range_dfa
 from .scanner import RecordSpan
@@ -145,11 +145,6 @@ class ScanIndex:
                     commas, left, side="right"
                 )
         return rec, scope, segment
-
-    def attribute(self, pos: int) -> tuple[int, int]:
-        """(scope_id, segment) in effect for the byte at ``pos``."""
-        rec, scope, segment = self.attribute_many(np.asarray([pos]))
-        return int(scope[0]), int(segment[0])
 
 
 def _finish_index(data, in_string, level, open_pos, opens_by_level, commas_by_level,
@@ -442,42 +437,35 @@ def number_fire_positions(index: ScanIndex, rdfa: RangeDfa):
 class PrimitiveFires:
     """Per-record latch flags plus scope/segment fire keys for conjunction."""
 
-    def __init__(self, index: ScanIndex, fire_pos: np.ndarray, attr_pos: np.ndarray):
+    def __init__(self, index: ScanIndex, attr_pos: np.ndarray):
         self._index = index
-        self._fire_pos = fire_pos
         self._attr_pos = attr_pos  # where scope/segment attribution is taken
         rec = index.record_of(attr_pos)
         self.latch = np.zeros(index.n_records, dtype=bool)
         self.latch[rec[rec >= 0]] = True
-        self.fire_count = int(len(fire_pos))
-        self._scope_keys: np.ndarray | None = None  # sorted unique rec<<32|scope
-        self._segments: dict | None = None
+        self._fire_scopes: tuple | None = None
+        self._scope_keys: np.ndarray | None = None
 
-    def _attribution(self):
-        rec, scope, segment = self._index.attribute_many(self._attr_pos)
-        keep = rec >= 0
-        return rec[keep], scope[keep], segment[keep]
+    @property
+    def fire_scopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rec<<32|scope, segment) of every fire inside a record."""
+        if self._fire_scopes is None:
+            rec, scope, segment = self._index.attribute_many(self._attr_pos)
+            keep = rec >= 0
+            self._fire_scopes = ((rec[keep] << 32) | scope[keep], segment[keep])
+        return self._fire_scopes
 
     @property
     def scope_keys(self) -> np.ndarray:
+        """Sorted unique rec<<32|scope keys."""
         if self._scope_keys is None:
-            rec, scope, _ = self._attribution()
-            self._scope_keys = np.unique((rec << 32) | scope)
+            self._scope_keys = np.unique(self.fire_scopes[0])
         return self._scope_keys
-
-    @property
-    def segments(self) -> dict:
-        if self._segments is None:
-            segments: dict[int, set] = {}
-            rec, scope, segment = self._attribution()
-            for r, sc, seg in zip(rec.tolist(), scope.tolist(), segment.tolist()):
-                segments.setdefault(r, set()).add((sc, seg))
-            self._segments = segments
-        return self._segments
 
 
 class CorpusIndex:
-    """Scanned corpus plus a cache of primitive results, shared by configs."""
+    """Scanned corpus plus a cache of primitive fires and per-predicate
+    accept vectors, shared by every configuration evaluated over it."""
 
     def __init__(self, data: bytes, index: ScanIndex | None = None):
         self.data = data
@@ -497,16 +485,38 @@ class CorpusIndex:
         key = ("s", pattern, block)
         if key not in self._cache:
             pos = string_fire_positions(self.index, pattern, block)
-            self._cache[key] = PrimitiveFires(self.index, pos, pos)
+            self._cache[key] = PrimitiveFires(self.index, pos)
         return self._cache[key]
 
     def range_fires(self, bound) -> PrimitiveFires:
         key = ("v", bound)
         if key not in self._cache:
             rdfa = build_range_dfa(bound)
-            fire_pos, attr_pos = number_fire_positions(self.index, rdfa)
-            self._cache[key] = PrimitiveFires(self.index, fire_pos, attr_pos)
+            _, attr_pos = number_fire_positions(self.index, rdfa)
+            self._cache[key] = PrimitiveFires(self.index, attr_pos)
         return self._cache[key]
+
+    def predicate_vector(self, pred: Predicate, pc: PredicateConfig) -> np.ndarray:
+        """Read-only per-record accept vector of one predicate under a
+        non-OMIT mode, built once per (predicate, mode, block)."""
+        block = None if pc.mode is Mode.VALUE_ONLY else resolve_block_len(pred.attr, pc.block)
+        key = ("p", pred.attr, pred.bound, pc.mode, block)
+        vector = self._cache.get(key)
+        if vector is None:
+            value = self.range_fires(pred.bound)
+            if pc.mode is Mode.VALUE_ONLY:
+                vector = value.latch.view()
+            else:
+                string = self.string_fires(pred.attr, block)
+                if pc.mode is Mode.FLAT:
+                    vector = string.latch & value.latch
+                elif pc.mode is Mode.SCOPED:
+                    vector = _scope_conj_vector(self.n_records, [string, value])
+                else:
+                    vector = _segment_conj_vector(self.n_records, [string, value])
+            vector.flags.writeable = False
+            self._cache[key] = vector
+        return vector
 
 
 # --- config evaluation over a corpus -------------------------------------------
@@ -526,47 +536,49 @@ def _scope_conj_vector(n_records: int, parts: list) -> np.ndarray:
 
 def _segment_conj_vector(n_records: int, parts: list) -> np.ndarray:
     out = np.zeros(n_records, dtype=bool)
-    maps = [p.segments for p in parts]
-    base = min(maps, key=len)
-    for rec in base:
-        sets = [m.get(rec) for m in maps]
-        if all(sets) and set.intersection(*sets):
-            out[rec] = True
+    fires = [p.fire_scopes for p in parts]
+    if any(len(scope) == 0 for scope, _ in fires):
+        return out
+    # rec<<32|scope leaves no room for the segment, so rank the scope keys of
+    # all parts together and pack (record, scope, segment) as rank*width+segment.
+    scopes, rank = np.unique(np.concatenate([scope for scope, _ in fires]), return_inverse=True)
+    width = max(int(segment.max()) for _, segment in fires) + 1
+    if len(scopes) * width > 1 << 63:
+        raise OverflowError(f"{len(scopes)} scopes x {width} segments overflow int64 keys")
+    keys = rank.astype(np.int64) * width + np.concatenate([segment for _, segment in fires])
+    first, *rest = np.split(keys, np.cumsum([len(scope) for scope, _ in fires])[:-1])
+    common = np.unique(first)
+    for part in rest:
+        common = np.intersect1d(common, np.unique(part), assume_unique=True)
+    if len(common):
+        out[scopes[common // width] >> 32] = True
+    return out
+
+
+def _accept_vector(corpus: CorpusIndex, node, configs) -> np.ndarray | None:
+    """Fresh accept vector of one query subtree, None when it is omitted.
+
+    ``configs`` yields the predicate configs in leaf order.
+    """
+    if isinstance(node, Predicate):
+        pc = next(configs)
+        if pc.mode is Mode.OMIT:
+            return None
+        return corpus.predicate_vector(node, pc).copy()
+    parts = [
+        v for child in node.children if (v := _accept_vector(corpus, child, configs)) is not None
+    ]
+    combine = np.logical_and if isinstance(node, And) else np.logical_or
+    out = parts[0]
+    for part in parts[1:]:
+        combine(out, part, out=out)
     return out
 
 
 def evaluate_config_batch(corpus: CorpusIndex, ast: QueryAst, cfg) -> np.ndarray:
     """Accept vector over all records for one configuration."""
     validate_config(ast, cfg)
-    n = corpus.n_records
-    configs = iter(cfg.predicates)
-
-    def build(node) -> np.ndarray | None:
-        if isinstance(node, Predicate):
-            pc = next(configs)
-            if pc.mode is Mode.OMIT:
-                return None
-            value = corpus.range_fires(node.bound)
-            if pc.mode is Mode.VALUE_ONLY:
-                return value.latch.copy()
-            string = corpus.string_fires(node.attr, pc.block)
-            if pc.mode is Mode.FLAT:
-                return string.latch & value.latch
-            if pc.mode is Mode.SCOPED:
-                return _scope_conj_vector(n, [string, value])
-            return _segment_conj_vector(n, [string, value])
-        parts = [built for c in node.children if (built := build(c)) is not None]
-        if isinstance(node, And):
-            out = parts[0]
-            for p in parts[1:]:
-                out = out & p
-            return out
-        out = parts[0]
-        for p in parts[1:]:
-            out = out | p
-        return out
-
-    return build(ast)
+    return _accept_vector(corpus, ast, iter(cfg.predicates))
 
 
 def primitive_fire_counts(corpus: CorpusIndex, ast: QueryAst, cfg) -> dict:

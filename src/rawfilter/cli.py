@@ -37,12 +37,12 @@ from .explorer import (
     evaluate_config,
     explore,
     reports_to_csv,
-    shared_range_dfa,
     string_cost,
 )
 from .filter import FilterConfig, Mode, parse_config, serialize_config
 from .oracle import label_dataset
 from .query import parse_query
+from .ranges import build_range_dfa
 from .strings import build_substring_set, resolve_block_len
 
 
@@ -81,7 +81,7 @@ def render_descriptor(query_text: str, ast, cfg: FilterConfig, model: CostModel)
     for leaf, pc in zip(ast.leaves(), cfg.predicates):
         if pc.mode is Mode.OMIT:
             continue
-        dfa = shared_range_dfa(leaf.bound)
+        dfa = build_range_dfa(leaf.bound)
         lines.append(
             f"primitive: {leaf.bound.notation()} dfa_states={dfa.state_count} "
             f"input_classes={dfa.input_classes}"
@@ -353,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="filter a dataset; accepted records to stdout")
     p.add_argument("--filter", required=True, help="descriptor from 'compile'")
     p.add_argument("--dataset", required=True, help="path or - for stdin")
-    p.add_argument("--format", choices=("ndjson", "concat"), default="ndjson")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_run)
 

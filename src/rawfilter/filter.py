@@ -168,10 +168,6 @@ class RawFilterExpr:
 # --- validation shared with the explorer ------------------------------------
 
 
-def iter_modes(cfg: FilterConfig):
-    return [pc.mode for pc in cfg.predicates]
-
-
 def validate_config(ast: QueryAst, cfg: FilterConfig) -> None:
     """Enforce the omission rules on the whole tree."""
     leaves = list(ast.leaves())

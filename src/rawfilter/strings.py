@@ -171,11 +171,3 @@ def make_string_matcher(pattern: bytes | str, block_len: int):
     if block_len == len(pattern):
         return ExactMatcher(pattern, ExactMatcher.FULL_COMPARE)
     return SubstringBlockMatcher(pattern, block_len)
-
-
-def string_step(matcher, event) -> bool:
-    return matcher.step(event)
-
-
-def reset_string(matcher) -> None:
-    matcher.reset()

@@ -1,8 +1,12 @@
 import json
 import random
+from decimal import Decimal
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
+
+from rawfilter.query import And, Or, Predicate
+from rawfilter.ranges import NumericBound
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -74,6 +78,30 @@ def senml_record(rng: random.Random, names, lo=-50.0, hi=6000.0) -> bytes:
 def flat_record(rng: random.Random, names, lo=-50.0, hi=6000.0) -> bytes:
     parts = [f'"{name}":{round(rng.uniform(lo, hi), rng.choice((0, 1, 2)))}' for name in names]
     return f'{{{",".join(parts)},"ts":{rng.randint(10**12, 2 * 10**12)}}}'.encode()
+
+
+QUERY_ATTRS = ("temperature", "humidity", "light")
+# Shuffled spellings that block length 1 confuses with QUERY_ATTRS and 2 does not.
+CONFUSABLE_ATTRS = ("temperatrue", "hmuidity", "lihgt")
+
+
+@st.composite
+def query_asts(draw):
+    """AND/OR queries of one to three predicates over QUERY_ATTRS, whose
+    bounds overlap the values senml_record and flat_record emit."""
+
+    def leaf():
+        lo = draw(st.integers(-50, 3000))
+        hi = lo + draw(st.integers(0, 3000))
+        return Predicate(draw(st.sampled_from(QUERY_ATTRS)), NumericBound(Decimal(lo), Decimal(hi)))
+
+    n = draw(st.integers(1, 3))
+    if n == 1:
+        return leaf()
+    op, nested = draw(st.sampled_from([(And, Or), (Or, And)]))
+    if n == 3 and draw(st.booleans()):
+        return op((leaf(), nested(tuple(leaf() for _ in range(n - 1)))))
+    return op(tuple(leaf() for _ in range(n)))
 
 
 def stdlib_in_string_mask(text: str) -> list[bool]:

@@ -1,11 +1,15 @@
+import gc
 import io
 import random
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rawfilter.batch import (
     CorpusIndex,
+    _segment_conj_vector,
     build_scan_index,
     evaluate_config_batch,
     iter_chunk_indexes,
@@ -166,6 +170,47 @@ def test_multi_predicate_accept_vector_matches():
     vector = evaluate_config_batch(corpus, ast, cfg)
     expr = compile_filter(ast, cfg)
     assert vector.tolist() == [accepts(expr, record) for record in corpus.records()]
+
+
+def test_returned_accept_vectors_are_fresh_and_cache_is_read_only():
+    ast = parse_query('(0.7 <= "temperature" <= 35.1) OR (20 <= "humidity" <= 69)')
+    cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.VALUE_ONLY)))
+    corpus = CorpusIndex(fuzz_stream(11))
+    first = evaluate_config_batch(corpus, ast, cfg)
+    expected = first.copy()
+    first[:] = ~first
+    assert evaluate_config_batch(corpus, ast, cfg).tolist() == expected.tolist()
+    single = parse_query('(0.7 <= "temperature" <= 35.1)')
+    for pc in (PredicateConfig(Mode.VALUE_ONLY), PredicateConfig(Mode.KEYVALUE, 2)):
+        one = FilterConfig((pc,))
+        vector = evaluate_config_batch(corpus, single, one)
+        vector[:] = True
+        again = evaluate_config_batch(corpus, single, one)
+        assert again.tolist() == corpus.predicate_vector(single, pc).tolist()
+        with pytest.raises(ValueError):
+            corpus.predicate_vector(single, pc)[0] = True
+
+
+def test_corpus_index_is_freed_without_a_gc_pass():
+    # A chunk's CorpusIndex must go with its last reference, not wait for a
+    # cyclic collection: `run` streams one chunk after another.
+    ast = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
+    cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, "N")))
+    gc.disable()
+    try:
+        corpus = CorpusIndex(fuzz_stream(12))
+        evaluate_config_batch(corpus, ast, cfg)
+        ref = weakref.ref(corpus)
+        del corpus
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_segment_keys_refuse_to_overflow_int64():
+    huge = SimpleNamespace(fire_scopes=(np.asarray([1 << 32, 2 << 32]), np.asarray([0, 1 << 62])))
+    with pytest.raises(OverflowError):
+        _segment_conj_vector(3, [huge, huge])
 
 
 def test_chunked_iteration_recovers_all_records():

@@ -1,8 +1,9 @@
+import hashlib
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rawfilter.batch import CorpusIndex
 from rawfilter.datagen import GenSpec, AttrSpec, generate_dataset, query_for_spec
@@ -28,6 +29,15 @@ from rawfilter.oracle import label_dataset
 from rawfilter.query import parse_query
 
 from decimal import Decimal
+
+from conftest import (
+    CONFUSABLE_ATTRS,
+    QUERY_ATTRS,
+    flat_record,
+    query_asts,
+    random_json_record,
+    senml_record,
+)
 
 
 def make_report(fpr, cost, name, i=0):
@@ -334,3 +344,47 @@ class TestExplore:
         assert len(lines) == 16
         again, _ = explore(ast, corpus_bytes, ExplorerOptions(blocks=(1,)))
         assert reports_to_csv(again) == text
+
+
+def test_explore_csv_digests_are_pinned():
+    # Any change to a byte of the report or front CSV shows here.
+    spec = synthetic_spec(records=300, seed=6)
+    corpus_bytes, _ = generate_dataset(spec)
+    ast = parse_query(query_for_spec(spec))
+    reports, front = explore(ast, corpus_bytes, ExplorerOptions(blocks=(1, 2, "N")))
+    assert (len(reports), len(front)) == (63, 5)
+    digests = [hashlib.sha256(reports_to_csv(r).encode()).hexdigest() for r in (reports, front)]
+    assert digests == [
+        "7c37d48daa0b88734304decf627f1ead51b08bb340644053a4b69588082194a9",
+        "9f18d423f9237bfa639432aa27990f9b8c627939c6fa89d5e856c33298a3233d",
+    ]
+
+
+def _outcome(ast, cfg, corpus, labels):
+    try:
+        r = evaluate_config(ast, cfg, corpus, labels)
+    except FalseNegativeError as exc:  # KEYVALUE on SenML layouts
+        return str(exc)
+    return (r.notation, r.tp, r.fp, r.tn, r.fn, r.cost)
+
+
+@settings(max_examples=10)
+@given(ast=query_asts(), seed=st.integers(0, 2**32 - 1))
+def test_shared_corpus_cache_matches_a_fresh_corpus_per_config(ast, seed):
+    rng = random.Random(seed)
+    makers = (senml_record, flat_record, lambda r, names: random_json_record(r))
+    names = QUERY_ATTRS + CONFUSABLE_ATTRS
+    records = [rng.choice(makers)(rng, rng.sample(names, 3)) for _ in range(30)]
+    data = b"\n".join(records) + b"\n"
+    shared = CorpusIndex(data)
+    labels = label_dataset(ast, shared.records())
+    options = ExplorerOptions(modes=tuple(Mode), blocks=(1, 2, "N"))
+    configs = enumerate_configs(ast, options)
+    fresh = [_outcome(ast, cfg, CorpusIndex(data, shared.index), labels) for cfg in configs]
+    sound = [i for i, out in enumerate(fresh) if isinstance(out, tuple)]
+    reports = evaluate_all(ast, [configs[i] for i in sound], shared, labels)
+    got = [(r.notation, r.tp, r.fp, r.tn, r.fn, r.cost) for r in reports]
+    assert got == [fresh[i] for i in sound]
+    unsound = [i for i in range(len(configs)) if i not in sound]
+    got = [_outcome(ast, configs[i], shared, labels) for i in unsound]
+    assert got == [fresh[i] for i in unsound]
