@@ -179,3 +179,25 @@ def test_exact_variants_fire_on_every_occurrence_end():
     for variant in (ExactMatcher.DFA_STATES, ExactMatcher.FULL_COMPARE):
         m = ExactMatcher(b"aba", variant)
         assert feed(m, b"ababa") == [2, 4], variant
+
+
+def test_block_n_of_a_non_ascii_attribute_is_its_utf8_byte_length():
+    # "ééé" is 3 characters and 6 UTF-8 bytes. The record holds a shifted run
+    # of those bytes that a 3-byte block matcher accepts and the 6-byte full
+    # compare rejects, so every path must resolve N to 6.
+    from rawfilter.batch import CorpusIndex, evaluate_config_batch
+    from rawfilter.cli import render_descriptor
+    from rawfilter.explorer import DEFAULT_COST_MODEL, config_notation
+    from rawfilter.filter import FilterConfig, Mode, PredicateConfig, accepts, compile_filter, parse_config
+    from rawfilter.query import parse_query
+
+    query = '(0.7 <= "ééé" <= 35.1)'
+    ast = parse_query(query)
+    cfg = FilterConfig((PredicateConfig(Mode.FLAT, "N"),))
+    record = b'{"x\xa9\xc3\xa9\xc3\xa9\xc3":20}'
+    corpus = CorpusIndex(record + b"\n")
+    reference = [accepts(compile_filter(ast, cfg), r) for r in corpus.records()]
+    assert evaluate_config_batch(corpus, ast, cfg).tolist() == reference == [False]
+    assert config_notation(ast, cfg) == '( s6("ééé") & v(0.7<=f<=35.1) )'
+    assert 'primitive: s6("ééé") N=6 B=6 ' in render_descriptor(query, ast, cfg, DEFAULT_COST_MODEL)
+    assert parse_config("ééé FLAT 6\n", ast).predicates == (PredicateConfig(Mode.FLAT, 6),)
