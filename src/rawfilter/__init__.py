@@ -14,7 +14,6 @@ from .explorer import (
     EvalReport,
     ExplorerOptions,
     enumerate_configs,
-    estimate_cost,
     evaluate_config,
     explore,
     pareto_front,
@@ -65,7 +64,6 @@ __all__ = [
     "compile_filter",
     "derive_range_regex",
     "enumerate_configs",
-    "estimate_cost",
     "eval_exact",
     "evaluate_config",
     "evaluate_config_batch",

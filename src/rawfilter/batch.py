@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scanner as _scanner
-from .filter import Mode, PredicateConfig, validate_config
-from .query import And, Predicate, QueryAst
+from .filter import Mode, Plan, PlanAnd, PlanLeaf, plan_leaves, string_notation, validate_config
+from .query import QueryAst
 from .ranges import NUMERIC_CLASS, RangeDfa, _IS_DIGIT, _IS_EXP, build_range_dfa
 from .scanner import RecordSpan
 from .strings import build_substring_set, resolve_block_len
@@ -479,9 +479,9 @@ class CorpusIndex:
     def records(self) -> list[bytes]:
         return [self.data[int(s) : int(e)] for s, e in zip(self.index.rec_starts, self.index.rec_ends)]
 
-    def string_fires(self, pattern: str | bytes, block) -> PrimitiveFires:
+    def string_fires(self, pattern: str | bytes, block: int) -> PrimitiveFires:
+        """Fires of the block matcher; ``block`` is resolved, as in a plan leaf."""
         pattern = pattern.encode() if isinstance(pattern, str) else pattern
-        block = resolve_block_len(pattern, block)
         key = ("s", pattern, block)
         if key not in self._cache:
             pos = string_fire_positions(self.index, pattern, block)
@@ -496,21 +496,21 @@ class CorpusIndex:
             self._cache[key] = PrimitiveFires(self.index, attr_pos)
         return self._cache[key]
 
-    def predicate_vector(self, pred: Predicate, pc: PredicateConfig) -> np.ndarray:
-        """Read-only per-record accept vector of one predicate under a
-        non-OMIT mode, built once per (predicate, mode, block)."""
-        block = None if pc.mode is Mode.VALUE_ONLY else resolve_block_len(pred.attr, pc.block)
-        key = ("p", pred.attr, pred.bound, pc.mode, block)
+    def predicate_vector(self, leaf: PlanLeaf) -> np.ndarray:
+        """Read-only per-record accept vector of one plan leaf, built once per
+        (predicate, mode, block)."""
+        pred, mode, block = leaf
+        key = ("p", pred.attr, pred.bound, mode, block)
         vector = self._cache.get(key)
         if vector is None:
             value = self.range_fires(pred.bound)
-            if pc.mode is Mode.VALUE_ONLY:
+            if mode is Mode.VALUE_ONLY:
                 vector = value.latch.view()
             else:
                 string = self.string_fires(pred.attr, block)
-                if pc.mode is Mode.FLAT:
+                if mode is Mode.FLAT:
                     vector = string.latch & value.latch
-                elif pc.mode is Mode.SCOPED:
+                elif mode is Mode.SCOPED:
                     vector = _scope_conj_vector(self.n_records, [string, value])
                 else:
                     vector = _segment_conj_vector(self.n_records, [string, value])
@@ -555,20 +555,12 @@ def _segment_conj_vector(n_records: int, parts: list) -> np.ndarray:
     return out
 
 
-def _accept_vector(corpus: CorpusIndex, node, configs) -> np.ndarray | None:
-    """Fresh accept vector of one query subtree, None when it is omitted.
-
-    ``configs`` yields the predicate configs in leaf order.
-    """
-    if isinstance(node, Predicate):
-        pc = next(configs)
-        if pc.mode is Mode.OMIT:
-            return None
-        return corpus.predicate_vector(node, pc).copy()
-    parts = [
-        v for child in node.children if (v := _accept_vector(corpus, child, configs)) is not None
-    ]
-    combine = np.logical_and if isinstance(node, And) else np.logical_or
+def accept_vector(corpus: CorpusIndex, plan: Plan) -> np.ndarray:
+    """Fresh accept vector of a plan from `filter.validate_config`."""
+    if isinstance(plan, PlanLeaf):
+        return corpus.predicate_vector(plan).copy()
+    parts = [accept_vector(corpus, child) for child in plan.children]
+    combine = np.logical_and if isinstance(plan, PlanAnd) else np.logical_or
     out = parts[0]
     for part in parts[1:]:
         combine(out, part, out=out)
@@ -577,22 +569,18 @@ def _accept_vector(corpus: CorpusIndex, node, configs) -> np.ndarray | None:
 
 def evaluate_config_batch(corpus: CorpusIndex, ast: QueryAst, cfg) -> np.ndarray:
     """Accept vector over all records for one configuration."""
-    validate_config(ast, cfg)
-    return _accept_vector(corpus, ast, iter(cfg.predicates))
+    return accept_vector(corpus, validate_config(ast, cfg))
 
 
 def primitive_fire_counts(corpus: CorpusIndex, ast: QueryAst, cfg) -> dict:
     """Records latched per primitive, keyed by notation."""
     counts: dict[str, int] = {}
-    for leaf, pc in zip(ast.leaves(), cfg.predicates):
-        if pc.mode is Mode.OMIT:
-            continue
-        value = corpus.range_fires(leaf.bound)
-        counts[leaf.bound.notation()] = int(value.latch.sum())
-        if pc.mode is not Mode.VALUE_ONLY:
-            block = resolve_block_len(leaf.attr, pc.block)
-            string = corpus.string_fires(leaf.attr, pc.block)
-            counts[f's{block}("{leaf.attr}")'] = int(string.latch.sum())
+    for leaf in plan_leaves(validate_config(ast, cfg)):
+        value = corpus.range_fires(leaf.pred.bound)
+        counts[leaf.pred.bound.notation()] = int(value.latch.sum())
+        if leaf.block is not None:
+            string = corpus.string_fires(leaf.pred.attr, leaf.block)
+            counts[string_notation(leaf)] = int(string.latch.sum())
     return counts
 
 

@@ -32,18 +32,26 @@ from .explorer import (
     CostModel,
     DEFAULT_COST_MODEL,
     ExplorerOptions,
-    config_cost,
-    config_notation,
     evaluate_config,
     explore,
+    plan_cost,
     reports_to_csv,
     string_cost,
 )
-from .filter import FilterConfig, Mode, parse_config, serialize_config
+from .filter import (
+    FilterConfig,
+    Mode,
+    parse_config,
+    plan_leaves,
+    plan_notation,
+    serialize_config,
+    string_notation,
+    validate_config,
+)
 from .oracle import label_dataset
 from .query import parse_query
 from .ranges import build_range_dfa
-from .strings import build_substring_set, resolve_block_len
+from .strings import build_substring_set
 
 
 def _read_text(path: str) -> str:
@@ -73,26 +81,25 @@ def _cost_model(args) -> CostModel:
 
 
 def render_descriptor(query_text: str, ast, cfg: FilterConfig, model: CostModel) -> str:
+    plan = validate_config(ast, cfg)
     lines = ["# rawfilter descriptor", f"query: {query_text}"]
     for cfg_line in serialize_config(ast, cfg).splitlines():
         lines.append(f"config: {cfg_line}")
-    lines.append(f"notation: {config_notation(ast, cfg)}")
-    lines.append(f"cost: {config_cost(ast, cfg, model):g}")
-    for leaf, pc in zip(ast.leaves(), cfg.predicates):
-        if pc.mode is Mode.OMIT:
-            continue
-        dfa = build_range_dfa(leaf.bound)
+    lines.append(f"notation: {plan_notation(plan)}")
+    lines.append(f"cost: {plan_cost(plan, model):g}")
+    for leaf in plan_leaves(plan):
+        dfa = build_range_dfa(leaf.pred.bound)
         lines.append(
-            f"primitive: {leaf.bound.notation()} dfa_states={dfa.state_count} "
+            f"primitive: {leaf.pred.bound.notation()} dfa_states={dfa.state_count} "
             f"input_classes={dfa.input_classes}"
         )
-        if pc.mode is not Mode.VALUE_ONLY:
-            b = resolve_block_len(leaf.attr, pc.block)
-            grams = sorted(build_substring_set(leaf.attr, b))
+        if leaf.block is not None:
+            attr, b = leaf.pred.attr, leaf.block
+            grams = sorted(build_substring_set(attr, b))
             gram_text = ",".join(g.decode("latin-1") for g in grams)
             lines.append(
-                f'primitive: s{b}("{leaf.attr}") N={len(leaf.attr)} B={b} '
-                f"grams={len(grams)} [{gram_text}] cost={string_cost(leaf.attr, b, model):g}"
+                f"primitive: {string_notation(leaf)} N={len(attr.encode())} B={b} "
+                f"grams={len(grams)} [{gram_text}] cost={string_cost(attr, b, model):g}"
             )
     return "\n".join(lines) + "\n"
 

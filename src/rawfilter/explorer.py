@@ -7,6 +7,10 @@ hardware (comparator bits, counter bits, DFA table size) with tunable
 weights; it is a relative measure for ranking configurations, not a
 synthesis estimate.
 
+Each configuration becomes one plan (`filter.validate_config`) that gives
+its accept vector, notation and cost. Enumeration validates one configuration
+per omission pattern: once blocks are resolved, nothing else decides validity.
+
 Every configuration is evaluated over one shared `CorpusIndex`, which caches
 primitive fires and each predicate's accept vector per (mode, block): a
 sweep scans and conjoins each primitive once, then only ANDs and ORs cached
@@ -26,22 +30,21 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .batch import CorpusIndex, evaluate_config_batch
+from .batch import CorpusIndex, accept_vector
 from .errors import CapExceededError, ConfigError, FalseNegativeError
 from .filter import (
     FilterConfig,
-    Leaf,
     Mode,
+    Plan,
+    PlanLeaf,
     PredicateConfig,
-    RawFilterExpr,
-    ScopeConj,
-    SegmentConj,
+    plan_notation,
     validate_config,
 )
 from .oracle import DatasetLabels, label_dataset
-from .query import And, Predicate, QueryAst
+from .query import QueryAst
 from .ranges import NumericBound, build_range_dfa
-from .strings import ExactMatcher, SubstringBlockMatcher, build_substring_set, resolve_block_len
+from .strings import build_substring_set, resolve_block_len
 
 
 @dataclass(frozen=True)
@@ -104,81 +107,30 @@ def range_cost(bound: NumericBound, model: CostModel = DEFAULT_COST_MODEL) -> fl
     return model.dfa_cell * dfa.state_count * dfa.input_classes
 
 
-def estimate_cost(expr: RawFilterExpr, model: CostModel = DEFAULT_COST_MODEL) -> float:
-    """Proxy cost of a compiled filter."""
+def plan_cost(plan: Plan, model: CostModel = DEFAULT_COST_MODEL) -> float:
+    """Proxy cost of a plan: its primitives, one combinator per AND/OR node
+    (two for a scoped or key-value pair), and the scanner."""
 
     def walk(node) -> float:
-        if isinstance(node, Leaf):
-            if node.kind == "range":
-                return range_cost(node.primitive.dfa.bound, model)
-            primitive = node.primitive
-            if isinstance(primitive, SubstringBlockMatcher):
-                return string_cost(primitive.pattern, primitive.block_len, model)
-            if isinstance(primitive, ExactMatcher):
-                return string_cost(primitive.pattern, len(primitive.pattern), model)
-            raise TypeError(f"unknown primitive {primitive!r}")
-        children = sum(walk(c) for c in node.children)
-        if isinstance(node, (ScopeConj, SegmentConj)):
-            return children + 2 * model.combinator
-        return children + model.combinator
+        if isinstance(node, PlanLeaf):
+            cost = range_cost(node.pred.bound, model)
+            if node.mode is Mode.VALUE_ONLY:
+                return cost
+            cost += string_cost(node.pred.attr, node.block, model)
+            return cost + (model.combinator if node.mode is Mode.FLAT else 2 * model.combinator)
+        return sum(walk(c) for c in node.children) + model.combinator
 
-    return walk(expr.root) + model.scanner
+    return walk(plan) + model.scanner
 
 
 def config_cost(ast: QueryAst, cfg: FilterConfig, model: CostModel = DEFAULT_COST_MODEL) -> float:
-    """Same value as estimate_cost(compile_filter(ast, cfg)) without compiling."""
-    configs = iter(cfg.predicates)
-
-    def walk(node):
-        # (cost, node materialized?) mirroring compile_filter's collapsing
-        if isinstance(node, Predicate):
-            pc = next(configs)
-            if pc.mode is Mode.OMIT:
-                return None
-            cost = range_cost(node.bound, model)
-            if pc.mode is Mode.VALUE_ONLY:
-                return cost
-            cost += string_cost(node.attr, pc.block, model)
-            return cost + (model.combinator if pc.mode is Mode.FLAT else 2 * model.combinator)
-        parts = [c for child in node.children if (c := walk(child)) is not None]
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return sum(parts) + model.combinator
-
-    total = walk(ast)
-    return total + model.scanner
-
-
-# --- configuration notation -----------------------------------------------------
+    """Proxy cost of one configuration; see `plan_cost`."""
+    return plan_cost(validate_config(ast, cfg), model)
 
 
 def config_notation(ast: QueryAst, cfg: FilterConfig) -> str:
     """Compact label: { s1("attr") & v(lo<=f<=hi) } joined with ' & ' / ' | '."""
-    configs = iter(cfg.predicates)
-
-    def walk(node):
-        if isinstance(node, Predicate):
-            pc = next(configs)
-            if pc.mode is Mode.OMIT:
-                return None
-            value = node.bound.notation()
-            if pc.mode is Mode.VALUE_ONLY:
-                return value
-            b = resolve_block_len(node.attr, pc.block)
-            string = f's{b}("{node.attr}")'
-            if pc.mode is Mode.FLAT:
-                return f"( {string} & {value} )"
-            joiner = " & " if pc.mode is Mode.SCOPED else " &kv "
-            return "{ " + string + joiner + value + " }"
-        parts = [p for child in node.children if (p := walk(child)) is not None]
-        if len(parts) == 1:
-            return parts[0]
-        joiner = " & " if isinstance(node, And) else " | "
-        return "( " + joiner.join(parts) + " )"
-
-    return walk(ast)
+    return plan_notation(validate_config(ast, cfg))
 
 
 # --- enumeration ------------------------------------------------------------------
@@ -197,32 +149,31 @@ class ExplorerOptions:
 
 def enumerate_configs(ast: QueryAst, options: ExplorerOptions = ExplorerOptions()) -> list[FilterConfig]:
     """All valid configurations, in a deterministic order."""
-    leaves = list(ast.leaves())
     per_leaf: list[list[PredicateConfig]] = []
-    for leaf in leaves:
-        choices: list[PredicateConfig] = []
-        blocks = []
-        for b in options.blocks:
-            resolved = resolve_block_len(leaf.attr, b)
-            if resolved not in blocks:
-                blocks.append(resolved)
-        for mode in options.modes:
-            if mode in (Mode.OMIT, Mode.VALUE_ONLY):
-                choices.append(PredicateConfig(mode))
-            else:
-                choices.extend(PredicateConfig(mode, b) for b in blocks)
-        per_leaf.append(choices)
+    for leaf in ast.leaves():
+        blocks = dict.fromkeys(resolve_block_len(leaf.attr, b) for b in options.blocks)
+        per_leaf.append([
+            PredicateConfig(mode, b)
+            for mode in options.modes
+            for b in ((None,) if mode in (Mode.OMIT, Mode.VALUE_ONLY) else blocks)
+        ])
 
+    # Blocks are resolved above, so validity depends only on which leaves
+    # are omitted: validate one configuration per omission pattern.
+    omits = [[pc.mode is Mode.OMIT for pc in choices] for choices in per_leaf]
+    valid: dict[tuple, bool] = {}
     configs = []
-    for combo in itertools.product(*per_leaf):
-        cfg = FilterConfig(combo)
-        try:
-            validate_config(ast, cfg)
-        except ConfigError:
-            continue
-        configs.append(cfg)
-        if len(configs) > options.cap:
-            raise CapExceededError(len(configs), options.cap)
+    for combo, omitted in zip(itertools.product(*per_leaf), itertools.product(*omits)):
+        if omitted not in valid:
+            try:
+                validate_config(ast, FilterConfig(combo))
+                valid[omitted] = True
+            except ConfigError:
+                valid[omitted] = False
+        if valid[omitted]:
+            configs.append(FilterConfig(combo))
+            if len(configs) > options.cap:
+                raise CapExceededError(len(configs), options.cap)
     return configs
 
 
@@ -276,7 +227,8 @@ def evaluate_config(
         labels = label_dataset(ast, corpus.records())
     match, parse_ok = _arrays if _arrays is not None else _label_arrays(labels)
     start = time.perf_counter()
-    accepts = evaluate_config_batch(corpus, ast, cfg)
+    plan = validate_config(ast, cfg)
+    accepts = accept_vector(corpus, plan)
     tp = int(np.count_nonzero(match & accepts))
     fn = int(np.count_nonzero(match & ~accepts))
     fp = int(np.count_nonzero(~match & accepts))
@@ -285,12 +237,10 @@ def evaluate_config(
         index = int(np.nonzero(match & ~accepts & parse_ok)[0][0])
         raise FalseNegativeError(
             f"record {index} matches the query but was filtered out "
-            f"by {config_notation(ast, cfg)}"
+            f"by {plan_notation(plan)}"
         )
     wall = time.perf_counter() - start
-    return EvalReport(
-        cfg, config_notation(ast, cfg), tp, fp, tn, fn, config_cost(ast, cfg, model), wall
-    )
+    return EvalReport(cfg, plan_notation(plan), tp, fp, tn, fn, plan_cost(plan, model), wall)
 
 
 def evaluate_all(

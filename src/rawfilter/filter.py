@@ -9,6 +9,9 @@ Each query predicate becomes, per configuration, one of
 * KEYVALUE: string and range firing inside the same comma segment of a
   scope (flat layouts where the key precedes its value).
 
+Only `validate_config` applies these rules; everything else reads the
+normalized plan it returns.
+
 Every primitive consumes every record byte; structural context is applied
 when fires are combined, not while matching. A string fire is attributed to
 the scope/segment at its final byte, a number fire to the scope/segment of
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .query import And, Or, Predicate, QueryAst
@@ -56,9 +60,6 @@ class FilterConfig:
 
     predicates: tuple
 
-    def descriptor(self, ast: QueryAst) -> str:
-        return serialize_config(ast, self)
-
 
 # --- compiled filter tree ---------------------------------------------------
 
@@ -88,11 +89,6 @@ class Leaf:
     def truth(self) -> bool:
         return self.latched
 
-    def notation(self) -> str:
-        if self.kind == "string":
-            return self.primitive.notation()
-        return self.primitive.dfa.bound.notation()
-
 
 @dataclass
 class AndNode:
@@ -100,9 +96,6 @@ class AndNode:
 
     def truth(self) -> bool:
         return all(c.truth() for c in self.children)
-
-    def notation(self) -> str:
-        return "( " + " & ".join(c.notation() for c in self.children) + " )"
 
 
 @dataclass
@@ -112,125 +105,148 @@ class OrNode:
     def truth(self) -> bool:
         return any(c.truth() for c in self.children)
 
-    def notation(self) -> str:
-        return "( " + " | ".join(c.notation() for c in self.children) + " )"
-
 
 @dataclass
 class ScopeConj:
-    """True when one scope collected at least one fire from every child."""
+    """True when one scope holds fires of both the string and the range leaf."""
 
-    children: list
+    children: list  # [string leaf, range leaf]
 
     def truth(self) -> bool:
-        scopes = set(self.children[0].fires_by_scope)
-        for child in self.children[1:]:
-            scopes &= child.fires_by_scope.keys()
-            if not scopes:
-                return False
-        return True
-
-    def notation(self) -> str:
-        return "{ " + " & ".join(c.notation() for c in self.children) + " }"
+        string, value = self.children
+        return not string.fires_by_scope.keys().isdisjoint(value.fires_by_scope)
 
 
 @dataclass
 class SegmentConj:
-    """True when one (scope, comma segment) has fires from every child."""
+    """True when one (scope, comma segment) holds fires of both leaves."""
 
-    children: list
+    children: list  # [string leaf, range leaf]
 
     def truth(self) -> bool:
-        segments = set(self.children[0].fires_by_segment)
-        for child in self.children[1:]:
-            segments &= child.fires_by_segment.keys()
-            if not segments:
-                return False
-        return True
-
-    def notation(self) -> str:
-        return "{ " + " &kv ".join(c.notation() for c in self.children) + " }"
+        string, value = self.children
+        return not string.fires_by_segment.keys().isdisjoint(value.fires_by_segment)
 
 
 @dataclass
 class RawFilterExpr:
-    """Compiled filter: evaluation tree plus the flat list of leaves."""
+    """Compiled filter: evaluation tree, its flat leaves, and its plan."""
 
     root: object
     leaves: list
-    ast: QueryAst
-    config: FilterConfig
+    plan: Plan
 
     def notation(self) -> str:
-        return self.root.notation()
+        return plan_notation(self.plan)
 
 
-# --- validation shared with the explorer ------------------------------------
+# --- the normalized plan ------------------------------------------------------
 
 
-def validate_config(ast: QueryAst, cfg: FilterConfig) -> None:
-    """Enforce the omission rules on the whole tree."""
+class PlanLeaf(NamedTuple):
+    """A kept predicate; ``block`` is in bytes, None under VALUE_ONLY."""
+
+    pred: Predicate
+    mode: Mode
+    block: int | None
+
+
+class PlanAnd(NamedTuple):
+    children: tuple  # two or more plan nodes
+
+
+class PlanOr(NamedTuple):
+    children: tuple  # two or more plan nodes
+
+
+Plan = PlanLeaf | PlanAnd | PlanOr
+
+
+def validate_config(ast: QueryAst, cfg: FilterConfig) -> Plan:
+    """Enforce the omission rules on the whole tree and return its plan:
+    OMIT leaves dropped, AND/OR nodes left with one child collapsed, block
+    lengths resolved."""
     leaves = list(ast.leaves())
     if len(cfg.predicates) != len(leaves):
         raise ConfigError(
             f"config has {len(cfg.predicates)} predicate entries, query has {len(leaves)}"
         )
-    counter = iter(range(len(leaves)))
+    configs = iter(cfg.predicates)
+    omitted = 0
 
-    def walk(node) -> tuple[int, int]:
-        # returns (total leaves, omitted leaves) in the subtree
+    def walk(node):
+        # plan of the subtree, None when all of it is omitted
+        nonlocal omitted
         if isinstance(node, Predicate):
-            idx = next(counter)
-            return 1, 1 if cfg.predicates[idx].mode is Mode.OMIT else 0
-        totals = [walk(c) for c in node.children]
-        total = sum(t for t, _ in totals)
-        omitted = sum(o for _, o in totals)
-        if isinstance(node, Or) and omitted:
+            pc = next(configs)
+            if pc.mode is Mode.OMIT:
+                omitted += 1
+                return None
+            block = None if pc.block is None else resolve_block_len(node.attr, pc.block)
+            return PlanLeaf(node, pc.mode, block)
+        omitted_before = omitted
+        kept = [plan for child in node.children if (plan := walk(child)) is not None]
+        if isinstance(node, Or) and omitted > omitted_before:
             raise ConfigError("predicates under an OR cannot be omitted")
-        if isinstance(node, And) and omitted == total:
+        if isinstance(node, And) and not kept:
             raise ConfigError("an AND clause must keep at least one predicate")
-        return total, omitted
+        if len(kept) == 1:
+            return kept[0]
+        return (PlanAnd if isinstance(node, And) else PlanOr)(tuple(kept))
 
-    total, omitted = walk(ast)
-    if omitted == total:
+    plan = walk(ast)
+    if plan is None:
         raise ConfigError("all predicates omitted")
+    return plan
+
+
+def plan_leaves(plan: Plan) -> list[PlanLeaf]:
+    """The plan's leaves in query order."""
+    if isinstance(plan, PlanLeaf):
+        return [plan]
+    return [leaf for child in plan.children for leaf in plan_leaves(child)]
+
+
+def string_notation(leaf: PlanLeaf) -> str:
+    return f's{leaf.block}("{leaf.pred.attr}")'
+
+
+def plan_notation(plan: Plan) -> str:
+    """Compact label: { s1("attr") & v(lo<=f<=hi) } joined with ' & ' / ' | '."""
+    if isinstance(plan, PlanLeaf):
+        value = plan.pred.bound.notation()
+        if plan.mode is Mode.VALUE_ONLY:
+            return value
+        if plan.mode is Mode.FLAT:
+            return f"( {string_notation(plan)} & {value} )"
+        joiner = " & " if plan.mode is Mode.SCOPED else " &kv "
+        return "{ " + string_notation(plan) + joiner + value + " }"
+    joiner = " & " if isinstance(plan, PlanAnd) else " | "
+    return "( " + joiner.join(plan_notation(c) for c in plan.children) + " )"
 
 
 # --- compilation -------------------------------------------------------------
 
+_PAIR_NODES = {Mode.FLAT: AndNode, Mode.SCOPED: ScopeConj, Mode.KEYVALUE: SegmentConj}
+
 
 def compile_filter(ast: QueryAst, cfg: FilterConfig) -> RawFilterExpr:
-    validate_config(ast, cfg)
+    plan = validate_config(ast, cfg)
     leaves: list[Leaf] = []
-    configs = iter(cfg.predicates)
 
     def build(node):
-        if isinstance(node, Predicate):
-            pc = next(configs)
-            if pc.mode is Mode.OMIT:
-                return None
-            range_leaf = Leaf(RangeMatcher(build_range_dfa(node.bound)), "range")
-            if pc.mode is Mode.VALUE_ONLY:
+        if isinstance(node, PlanLeaf):
+            range_leaf = Leaf(RangeMatcher(build_range_dfa(node.pred.bound)), "range")
+            if node.mode is Mode.VALUE_ONLY:
                 leaves.append(range_leaf)
                 return range_leaf
-            matcher = make_string_matcher(node.attr, pc.block)
-            string_leaf = Leaf(matcher, "string")
+            string_leaf = Leaf(make_string_matcher(node.pred.attr, node.block), "string")
             leaves.extend((string_leaf, range_leaf))
-            pair = [string_leaf, range_leaf]
-            if pc.mode is Mode.FLAT:
-                return AndNode(pair)
-            if pc.mode is Mode.SCOPED:
-                return ScopeConj(pair)
-            return SegmentConj(pair)
-        children = [built for c in node.children if (built := build(c)) is not None]
-        if not children:
-            return None
-        if len(children) == 1:
-            return children[0]
-        return AndNode(children) if isinstance(node, And) else OrNode(children)
+            return _PAIR_NODES[node.mode]([string_leaf, range_leaf])
+        children = [build(c) for c in node.children]
+        return AndNode(children) if isinstance(node, PlanAnd) else OrNode(children)
 
-    root = build(ast)
-    return RawFilterExpr(root, leaves, ast, cfg)
+    return RawFilterExpr(build(plan), leaves, plan)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -310,7 +326,6 @@ def parse_config(text: str, ast: QueryAst) -> FilterConfig:
                     block = int(block_text)
                 except ValueError as exc:
                     raise ConfigError(f"line {lineno}: bad block length {block_text!r}") from exc
-            resolve_block_len(leaf.attr, block)
         else:
             if block_text != "-":
                 raise ConfigError(f"line {lineno}: mode {mode_name} takes no block length, use '-'")

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from .errors import ConfigError
 
-BLOCK_CHOICES = (1, 2, "N")  # explored block lengths; "N" is the full compare
-
 
 def build_substring_set(pattern: bytes | str, block_len: int) -> set[bytes]:
     """All distinct contiguous substrings of length ``block_len``."""
@@ -36,8 +34,8 @@ def build_substring_set(pattern: bytes | str, block_len: int) -> set[bytes]:
 
 
 def resolve_block_len(pattern: bytes | str, block: int | str) -> int:
-    """Map the symbolic block choice 'N' to the pattern length."""
-    n = len(pattern)
+    """Map the symbolic block choice 'N' to the pattern length in UTF-8 bytes."""
+    n = len(pattern.encode() if isinstance(pattern, str) else pattern)
     if block == "N":
         return n
     block = int(block)
@@ -88,9 +86,6 @@ class SubstringBlockMatcher:
         self._ring.clear()
         self.run_counter = 0
         self.latched = False
-
-    def notation(self) -> str:
-        return f's{self.block_len}("{self.pattern.decode("latin-1")}")'
 
 
 class ExactMatcher:
@@ -158,9 +153,6 @@ class ExactMatcher:
             self._state = 0
         else:
             self._ring.clear()
-
-    def notation(self) -> str:
-        return f's{len(self.pattern)}("{self.pattern.decode("latin-1")}")'
 
 
 def make_string_matcher(pattern: bytes | str, block_len: int):

@@ -16,7 +16,14 @@ from rawfilter.batch import (
     number_fire_positions,
     string_fire_positions,
 )
-from rawfilter.filter import FilterConfig, Mode, PredicateConfig, accepts, compile_filter
+from rawfilter.filter import (
+    FilterConfig,
+    Mode,
+    PredicateConfig,
+    accepts,
+    compile_filter,
+    validate_config,
+)
 from rawfilter.query import parse_query
 from rawfilter.ranges import build_range_dfa
 from rawfilter.scanner import ScannerState, iter_events, segment_records
@@ -186,9 +193,10 @@ def test_returned_accept_vectors_are_fresh_and_cache_is_read_only():
         vector = evaluate_config_batch(corpus, single, one)
         vector[:] = True
         again = evaluate_config_batch(corpus, single, one)
-        assert again.tolist() == corpus.predicate_vector(single, pc).tolist()
+        leaf = validate_config(single, one)
+        assert again.tolist() == corpus.predicate_vector(leaf).tolist()
         with pytest.raises(ValueError):
-            corpus.predicate_vector(single, pc)[0] = True
+            corpus.predicate_vector(leaf)[0] = True
 
 
 def test_corpus_index_is_freed_without_a_gc_pass():

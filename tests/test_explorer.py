@@ -1,13 +1,14 @@
 import hashlib
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rawfilter.batch import CorpusIndex
+from rawfilter.batch import CorpusIndex, evaluate_config_batch
 from rawfilter.datagen import GenSpec, AttrSpec, generate_dataset, query_for_spec
-from rawfilter.errors import CapExceededError, FalseNegativeError
+from rawfilter.errors import CapExceededError, ConfigError, FalseNegativeError
 from rawfilter.explorer import (
     CostModel,
     DEFAULT_COST_MODEL,
@@ -16,7 +17,6 @@ from rawfilter.explorer import (
     config_cost,
     config_notation,
     enumerate_configs,
-    estimate_cost,
     evaluate_all,
     evaluate_config,
     explore,
@@ -24,7 +24,14 @@ from rawfilter.explorer import (
     reports_to_csv,
     string_cost,
 )
-from rawfilter.filter import FilterConfig, Mode, PredicateConfig, compile_filter
+from rawfilter.filter import (
+    FilterConfig,
+    Mode,
+    PredicateConfig,
+    accepts,
+    compile_filter,
+    validate_config,
+)
 from rawfilter.oracle import label_dataset
 from rawfilter.query import parse_query
 
@@ -94,11 +101,6 @@ class TestCost:
         scoped = config_cost(ast, FilterConfig((PredicateConfig(Mode.SCOPED, 1),)))
         flat = config_cost(ast, FilterConfig((PredicateConfig(Mode.FLAT, 1),)))
         assert scoped - flat == DEFAULT_COST_MODEL.combinator
-
-    def test_config_cost_equals_compiled_estimate(self):
-        ast = parse_query('(1 <= "aab" <= 2) AND (3 <= "bbc" <= 4)')
-        for cfg in enumerate_configs(ast, ExplorerOptions(blocks=(1, 2, "N"))):
-            assert config_cost(ast, cfg) == estimate_cost(compile_filter(ast, cfg))
 
     def test_full_compare_costs_eight_bits_per_byte(self):
         assert string_cost("temperature", "N") == 8 * 11
@@ -388,3 +390,48 @@ def test_shared_corpus_cache_matches_a_fresh_corpus_per_config(ast, seed):
     unsound = [i for i in range(len(configs)) if i not in sound]
     got = [_outcome(ast, configs[i], shared, labels) for i in unsound]
     assert got == [fresh[i] for i in unsound]
+
+
+ALL_MODES = ExplorerOptions(modes=tuple(Mode), blocks=(1, 2, "N"))
+
+
+def _fuzz_records(seed: int, n: int) -> bytes:
+    rng = random.Random(seed)
+    makers = (senml_record, flat_record, lambda r, names: random_json_record(r))
+    names = QUERY_ATTRS + CONFUSABLE_ATTRS
+    records = [rng.choice(makers)(rng, rng.sample(names, 3)) for _ in range(n)]
+    return b"\n".join(records) + b"\n"
+
+
+@settings(max_examples=25)
+@given(ast=query_asts())
+def test_enumeration_equals_validating_every_combination(ast):
+    per_leaf = []
+    for leaf in ast.leaves():
+        blocks = sorted({len(leaf.attr.encode()) if b == "N" else b for b in ALL_MODES.blocks})
+        per_leaf.append(
+            [PredicateConfig(m) for m in (Mode.OMIT, Mode.VALUE_ONLY)]
+            + [PredicateConfig(m, b) for m in (Mode.FLAT, Mode.SCOPED, Mode.KEYVALUE) for b in blocks]
+        )
+    expected = []
+    for combo in itertools.product(*per_leaf):
+        try:
+            validate_config(ast, FilterConfig(combo))
+        except ConfigError:
+            continue
+        expected.append(FilterConfig(combo))
+    assert enumerate_configs(ast, ALL_MODES) == expected
+
+
+@settings(max_examples=6)
+@given(ast=query_asts(), seed=st.integers(0, 2**32 - 1))
+def test_every_valid_config_agrees_with_the_compiled_reference(ast, seed):
+    # Every mode including OMIT, so omitted leaves sit under nested AND/OR.
+    corpus = CorpusIndex(_fuzz_records(seed, 8))
+    records = corpus.records()
+    for cfg in enumerate_configs(ast, ALL_MODES):
+        expr = compile_filter(ast, cfg)
+        assert evaluate_config_batch(corpus, ast, cfg).tolist() == [
+            accepts(expr, r) for r in records
+        ], config_notation(ast, cfg)
+        assert expr.notation() == config_notation(ast, cfg)
