@@ -362,6 +362,17 @@ def test_explore_csv_digests_are_pinned():
     ]
 
 
+ALL_MODES = ExplorerOptions(modes=tuple(Mode), blocks=(1, 2, "N"))
+
+
+def _fuzz_records(seed: int, n: int) -> bytes:
+    rng = random.Random(seed)
+    makers = (senml_record, flat_record, lambda r, names: random_json_record(r))
+    names = QUERY_ATTRS + CONFUSABLE_ATTRS
+    records = [rng.choice(makers)(rng, rng.sample(names, 3)) for _ in range(n)]
+    return b"\n".join(records) + b"\n"
+
+
 def _outcome(ast, cfg, corpus, labels):
     try:
         r = evaluate_config(ast, cfg, corpus, labels)
@@ -373,15 +384,10 @@ def _outcome(ast, cfg, corpus, labels):
 @settings(max_examples=10)
 @given(ast=query_asts(), seed=st.integers(0, 2**32 - 1))
 def test_shared_corpus_cache_matches_a_fresh_corpus_per_config(ast, seed):
-    rng = random.Random(seed)
-    makers = (senml_record, flat_record, lambda r, names: random_json_record(r))
-    names = QUERY_ATTRS + CONFUSABLE_ATTRS
-    records = [rng.choice(makers)(rng, rng.sample(names, 3)) for _ in range(30)]
-    data = b"\n".join(records) + b"\n"
+    data = _fuzz_records(seed, 30)
     shared = CorpusIndex(data)
     labels = label_dataset(ast, shared.records())
-    options = ExplorerOptions(modes=tuple(Mode), blocks=(1, 2, "N"))
-    configs = enumerate_configs(ast, options)
+    configs = enumerate_configs(ast, ALL_MODES)
     fresh = [_outcome(ast, cfg, CorpusIndex(data, shared.index), labels) for cfg in configs]
     sound = [i for i, out in enumerate(fresh) if isinstance(out, tuple)]
     reports = evaluate_all(ast, [configs[i] for i in sound], shared, labels)
@@ -390,17 +396,6 @@ def test_shared_corpus_cache_matches_a_fresh_corpus_per_config(ast, seed):
     unsound = [i for i in range(len(configs)) if i not in sound]
     got = [_outcome(ast, configs[i], shared, labels) for i in unsound]
     assert got == [fresh[i] for i in unsound]
-
-
-ALL_MODES = ExplorerOptions(modes=tuple(Mode), blocks=(1, 2, "N"))
-
-
-def _fuzz_records(seed: int, n: int) -> bytes:
-    rng = random.Random(seed)
-    makers = (senml_record, flat_record, lambda r, names: random_json_record(r))
-    names = QUERY_ATTRS + CONFUSABLE_ATTRS
-    records = [rng.choice(makers)(rng, rng.sample(names, 3)) for _ in range(n)]
-    return b"\n".join(records) + b"\n"
 
 
 @settings(max_examples=25)
