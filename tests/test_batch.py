@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rawfilter import batch
 from rawfilter.batch import (
     CorpusIndex,
     _segment_conj_vector,
@@ -245,3 +246,20 @@ def test_single_record_larger_than_chunk():
         for s, e in zip(index.rec_starts, index.rec_ends)
     ]
     assert payloads == [data]
+
+
+def test_single_record_carry_scans_linear_bytes(monkeypatch):
+    # A record that outgrows every chunk doubles the buffer on each carry, so
+    # the bytes rescanned stay within a constant factor of the record.
+    inner = b",".join(b'{"v":%d}' % i for i in range(2000))
+    data = b'{"e":[' + inner + b"]}"
+    scanned = []
+
+    def counting(buffer):
+        scanned.append(len(buffer))
+        return build_scan_index(buffer)
+
+    monkeypatch.setattr(batch, "build_scan_index", counting)
+    chunks = list(iter_chunk_indexes(io.BytesIO(data), 128))
+    assert [buffer for _, buffer in chunks] == [data]
+    assert sum(scanned) <= 4 * len(data), (len(scanned), sum(scanned))
