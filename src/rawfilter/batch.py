@@ -1,14 +1,16 @@
 """Vectorized corpus pipeline.
 
 Runs the same scanner/primitive/composition semantics as the per-byte
-reference path, but over whole buffers with numpy. The structural masks are
+reference path, but over whole buffers with numpy. The structural index is
 computed simdjson-style (backslash-run parity for escapes, quote parity for
-the string mask, bracket cumsums for nesting); primitives reduce to lookup
-tables, run-length arithmetic and per-token DFA lockstep.
+the string mask, bracket cumsums for nesting, sparse position tables for
+record segmentation); primitives reduce to lookup tables, run-length
+arithmetic and per-token DFA lockstep.
 
-The fast path assumes streams where backslashes only occur inside strings
-and brackets never underflow; anything else falls back to the reference
-scanner, so results are identical on every input.
+The index follows the reference scanner on every input, non-JSON included:
+a backslash outside a string is a plain byte, a close bracket at level 0 is
+plain content that marks its record malformed, and a top-level scalar runs
+to the end of its line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scanner as _scanner
 from .filter import Mode, Plan, PlanAnd, PlanLeaf, plan_leaves, string_notation, validate_config
 from .query import QueryAst
 from .ranges import NUMERIC_CLASS, RangeDfa, _IS_DIGIT, _IS_EXP, build_range_dfa
@@ -147,27 +148,6 @@ class ScanIndex:
         return rec, scope, segment
 
 
-def _finish_index(data, in_string, level, open_pos, opens_by_level, commas_by_level,
-                  rec_starts, rec_ends, rec_malformed) -> ScanIndex:
-    n = len(data)
-    inside_delta = np.zeros(n + 1, dtype=np.int8)
-    if len(rec_starts):
-        inside_delta[rec_starts] = 1
-        np.subtract.at(inside_delta, rec_ends, 1)
-    inside = np.cumsum(inside_delta[:n], dtype=np.int32) > 0
-    marker = np.zeros(n, dtype=np.int32)
-    if len(rec_starts):
-        marker[rec_starts] = 1
-        ordinal = np.cumsum(marker, dtype=np.int32) - 1
-        rec_start_per_pos = rec_starts.astype(np.int32)[np.maximum(ordinal, 0)]
-    else:
-        rec_start_per_pos = np.zeros(n, dtype=np.int32)
-    return ScanIndex(
-        data, in_string, level, open_pos, opens_by_level, commas_by_level,
-        rec_starts, rec_ends, rec_malformed, inside, rec_start_per_pos,
-    )
-
-
 def drop_last_record(index: ScanIndex) -> ScanIndex:
     """Remove the final record span in place (chunk carry)."""
     start, end = int(index.rec_starts[-1]), int(index.rec_ends[-1])
@@ -178,169 +158,108 @@ def drop_last_record(index: ScanIndex) -> ScanIndex:
     return index
 
 
-def _segment_fallback(data: bytes, end_positions, newline_positions, eof_in_string):
-    """Mirror scanner.segment_records; handles scalars and malformed tails."""
-    n = len(data)
-    starts, ends, malformed = [], [], []
-    p = 0
-    while p < n:
-        b = data[p]
-        if b in b" \t\r\n":
-            p += 1
-            continue
-        if b in b"{[":
-            k = int(np.searchsorted(end_positions, p, side="left"))
-            if k < len(end_positions):
-                end = int(end_positions[k]) + 1
-                starts.append(p)
-                ends.append(end)
-                malformed.append(False)
-                p = end
-            else:
-                starts.append(p)
-                ends.append(n)
-                malformed.append(True)
-                p = n
-        else:
-            k = int(np.searchsorted(newline_positions, p, side="left"))
-            if k < len(newline_positions):
-                end = int(newline_positions[k])
-                starts.append(p)
-                ends.append(end)
-                malformed.append(False)
-                p = end + 1
-            else:
-                starts.append(p)
-                ends.append(n)
-                malformed.append(bool(eof_in_string))
-                p = n
-    return (
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(ends, dtype=np.int64),
-        np.asarray(malformed, dtype=bool),
-    )
+def _real_quotes(d: np.ndarray) -> np.ndarray:
+    """Quotes that open or close a string under the reference scanner.
+
+    A quote after an even backslash run always toggles the string state. One
+    after an odd run leaves the scanner inside a string either way: outside,
+    the backslashes are plain bytes and the quote opens a string; inside, the
+    quote is escaped. So it is real exactly when the toggles since the
+    previous odd-run quote (which left the scanner inside) leave it outside.
+    """
+    quote = d == ord('"')
+    bs = d == ord("\\")
+    if not bool(bs.any()):
+        return quote
+    qpos = np.nonzero(quote)[0]
+    last_non_bs = np.maximum.accumulate(np.where(bs, -1, np.arange(len(d), dtype=np.int32)))
+    prev_last = np.where(qpos > 0, last_non_bs[np.maximum(qpos - 1, 0)], -1)
+    odd = ((qpos - 1 - prev_last) & 1) == 1
+    odd_at = np.nonzero(odd)[0]
+    toggles = np.cumsum(~odd, dtype=np.int64)[odd_at]
+    # The first odd-run quote starts from outside, not inside: one toggle off.
+    since = toggles - np.concatenate(([1], toggles[:-1]))
+    real = ~odd
+    real[odd_at[(since & 1) == 1]] = True
+    out = np.zeros(len(d), dtype=bool)
+    out[qpos[real]] = True
+    return out
 
 
-def _segment_positions(data: bytes, d, end_positions, newline_positions, eof_in_string):
-    """Record spans; vectorized for streams of bracket records (possibly
-    with one unclosed trailing record), general fallback for the rest."""
-    n = len(d)
-    n_rec = len(end_positions)
-    if n_rec:
-        nonws = np.nonzero(~_WS[d])[0]
-        if len(nonws):
-            gap_after = np.searchsorted(nonws, end_positions + 1, side="left")
-            starts = np.concatenate(([nonws[0]], nonws[gap_after[:-1]]))
-            ends = end_positions + 1
-            malformed = np.zeros(n_rec, dtype=bool)
-            if gap_after[-1] < len(nonws):
-                # Bytes after the last balanced record: an unclosed tail.
-                tail = int(nonws[gap_after[-1]])
-                if _OPEN_LUT[d[tail]]:
-                    starts = np.concatenate((starts, [tail]))
-                    ends = np.concatenate((ends, [n]))
-                    malformed = np.concatenate((malformed, [True]))
-                else:
-                    starts = None
-            if starts is not None and bool(_OPEN_LUT[d[starts]].all()) and bool(
-                (starts[:n_rec] <= end_positions).all()
-            ):
-                return starts.astype(np.int64), ends.astype(np.int64), malformed
-    return _segment_fallback(data, end_positions, newline_positions, eof_in_string)
-
-
-def _build_fast(data: bytes) -> ScanIndex | None:
+def build_scan_index(data: bytes) -> ScanIndex:
+    """Structural index of a buffer, equal to `scanner.iter_events` and
+    `scanner.segment_records` on every input."""
     d = np.frombuffer(data, dtype=np.uint8)
     n = len(d)
 
-    quote = d == ord('"')
-    bs = d == ord("\\")
-    if bool(bs.any()):
-        # Length of the backslash run immediately before each byte decides
-        # whether it is escaped.
-        idx = np.arange(n, dtype=np.int32)
-        last_non_bs = np.maximum.accumulate(np.where(~bs, idx, np.int32(-1)))
-        prev_last = np.empty(n, dtype=np.int32)
-        prev_last[0] = -1
-        prev_last[1:] = last_non_bs[:-1]
-        escaped = ((idx - 1 - prev_last) & 1) == 1
-        real_quote = quote & ~escaped
-    else:
-        real_quote = quote
-
+    real_quote = _real_quotes(d)
     qcum = np.cumsum(real_quote, dtype=np.int32)
-    parity_excl = (qcum - real_quote) & 1
-    in_string = parity_excl == 1
+    in_string = ((qcum - real_quote) & 1) == 1
     outside = ~in_string
-    if bool(bs.any()) and bool(np.any(bs & outside)):
-        return None  # reference escape semantics differ outside strings
 
     opens = _OPEN_LUT[d] & outside
     closes = _CLOSE_LUT[d] & outside
-    lvl_after = np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.int32)
-    if n and int(lvl_after.min()) < 0:
-        return None  # bracket underflow clamps in the reference scanner
-    level = lvl_after + closes
+    depth = np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.int32)
+    underflow = np.empty(0, dtype=np.int64)
+    if n and int(depth.min()) < 0:
+        # A close at level 0 is plain content: clamp the depth at zero.
+        floor = np.minimum(np.minimum.accumulate(depth), 0)
+        underflow = np.nonzero(np.diff(floor, prepend=np.int32(0)))[0]
+        depth -= floor
+        closes[underflow] = False
+    level = depth + closes
 
+    # Records: split into lines at depth-0 newlines. On each line, depth-0
+    # opens start bracketed records until the first depth-0 byte that is
+    # neither whitespace nor an open; that byte starts a scalar record which
+    # runs to the line's end.
+    top = level == 0
     end_positions = np.nonzero(closes & (level == 1))[0]
-    newline_positions = np.nonzero((d == ord("\n")) & outside & (level == 0))[0]
-    eof_in_string = bool(n) and bool(qcum[-1] & 1)
-    rec_starts, rec_ends, rec_malformed = _segment_positions(
-        data, d, end_positions, newline_positions, eof_in_string
-    )
+    line_ends = np.append(np.nonzero((d == ord("\n")) & outside & top)[0], n)
+    scalar = np.nonzero(top & ~_WS[d])[0]
+    scalar_line = np.searchsorted(line_ends, scalar)
+    first = np.diff(scalar_line, prepend=-1) != 0
+    scalar, scalar_line = scalar[first], scalar_line[first]
+    scalar_ends = line_ends[scalar_line]
+    scalar_malformed = np.searchsorted(underflow, scalar_ends) > np.searchsorted(underflow, scalar)
+    if n and bool(qcum[-1] & 1):
+        scalar_malformed |= scalar_ends == n  # ends at EOF inside a string
 
     open_pos = np.nonzero(opens)[0]
     open_level = level[open_pos]
+    bracketed = open_pos[open_level == 1]
+    line_scalar = np.full(len(line_ends), n, dtype=np.int64)
+    line_scalar[scalar_line] = scalar
+    bracketed = bracketed[bracketed < line_scalar[np.searchsorted(line_ends, bracketed)]]
+    close_at = np.searchsorted(end_positions, bracketed)
+    unclosed = close_at == len(end_positions)
+    bracketed_ends = np.where(unclosed, n, np.append(end_positions, n)[close_at] + 1)
+
+    rec_starts = np.concatenate((bracketed, scalar))
+    order = np.argsort(rec_starts, kind="stable")
+    rec_starts = rec_starts[order]
+    rec_ends = np.concatenate((bracketed_ends, scalar_ends))[order]
+    rec_malformed = np.concatenate((unclosed, scalar_malformed))[order]
+
     opens_by_level = {int(lvl): open_pos[open_level == lvl] for lvl in np.unique(open_level)}
     comma_pos = np.nonzero((d == ord(",")) & outside)[0]
     comma_level = level[comma_pos]
     commas_by_level = {
         int(lvl): comma_pos[comma_level == lvl] for lvl in np.unique(comma_level)
     }
-    return _finish_index(
+
+    inside_delta = np.zeros(n + 1, dtype=np.int8)
+    inside_delta[rec_starts] = 1
+    np.subtract.at(inside_delta, rec_ends, 1)
+    inside = np.cumsum(inside_delta[:n], dtype=np.int32) > 0
+    marker = np.zeros(n, dtype=np.int32)
+    marker[rec_starts] = 1
+    ordinal = np.cumsum(marker, dtype=np.int32) - 1
+    rec_start_per_pos = rec_starts.astype(np.int32)[np.maximum(ordinal, 0)] if len(rec_starts) else marker
+    return ScanIndex(
         d, in_string, level, open_pos, opens_by_level, commas_by_level,
-        rec_starts, rec_ends, rec_malformed,
+        rec_starts, rec_ends, rec_malformed, inside, rec_start_per_pos,
     )
-
-
-def _build_reference(data: bytes) -> ScanIndex:
-    """Byte-at-a-time construction; used when the fast path bails out."""
-    n = len(data)
-    in_string = np.zeros(n, dtype=bool)
-    level = np.zeros(n, dtype=np.int32)
-    open_pos, open_level, comma_pos, comma_level = [], [], [], []
-    state = _scanner.ScannerState()
-    for ev in _scanner.iter_events(data, state):
-        in_string[ev.offset] = ev.in_string
-        level[ev.offset] = ev.level
-        if not ev.in_string:
-            if ev.byte in b"{[":
-                open_pos.append(ev.offset)
-                open_level.append(ev.level)
-            elif ev.structural_comma:
-                comma_pos.append(ev.offset)
-                comma_level.append(ev.level)
-    spans = _scanner.segment_records(data)
-    rec_starts = np.asarray([s.start for s in spans], dtype=np.int64)
-    rec_ends = np.asarray([s.end for s in spans], dtype=np.int64)
-    rec_malformed = np.asarray([s.malformed for s in spans], dtype=bool)
-    open_pos = np.asarray(open_pos, dtype=np.int64)
-    open_level = np.asarray(open_level, dtype=np.int64)
-    opens_by_level = {int(lvl): open_pos[open_level == lvl] for lvl in np.unique(open_level)}
-    comma_pos = np.asarray(comma_pos, dtype=np.int64)
-    comma_level = np.asarray(comma_level, dtype=np.int64)
-    commas_by_level = {
-        int(lvl): comma_pos[comma_level == lvl] for lvl in np.unique(comma_level)
-    }
-    return _finish_index(
-        np.frombuffer(data, dtype=np.uint8), in_string, level, open_pos,
-        opens_by_level, commas_by_level, rec_starts, rec_ends, rec_malformed,
-    )
-
-
-def build_scan_index(data: bytes) -> ScanIndex:
-    fast = _build_fast(data)
-    return fast if fast is not None else _build_reference(data)
 
 
 # --- primitive fires ----------------------------------------------------------
@@ -511,9 +430,9 @@ class CorpusIndex:
                 if mode is Mode.FLAT:
                     vector = string.latch & value.latch
                 elif mode is Mode.SCOPED:
-                    vector = _scope_conj_vector(self.n_records, [string, value])
+                    vector = _scope_conj_vector(self.n_records, string, value)
                 else:
-                    vector = _segment_conj_vector(self.n_records, [string, value])
+                    vector = _segment_conj_vector(self.n_records, string, value)
             vector.flags.writeable = False
             self._cache[key] = vector
         return vector
@@ -522,36 +441,27 @@ class CorpusIndex:
 # --- config evaluation over a corpus -------------------------------------------
 
 
-def _scope_conj_vector(n_records: int, parts: list) -> np.ndarray:
-    common = parts[0].scope_keys
-    for p in parts[1:]:
-        common = np.intersect1d(common, p.scope_keys, assume_unique=True)
-        if len(common) == 0:
-            break
+def _scope_conj_vector(n_records: int, string: PrimitiveFires, value: PrimitiveFires) -> np.ndarray:
+    common = np.intersect1d(string.scope_keys, value.scope_keys, assume_unique=True)
     out = np.zeros(n_records, dtype=bool)
-    if len(common):
-        out[np.unique(common >> 32)] = True
+    out[np.unique(common >> 32)] = True
     return out
 
 
-def _segment_conj_vector(n_records: int, parts: list) -> np.ndarray:
+def _segment_conj_vector(n_records: int, string: PrimitiveFires, value: PrimitiveFires) -> np.ndarray:
     out = np.zeros(n_records, dtype=bool)
-    fires = [p.fire_scopes for p in parts]
-    if any(len(scope) == 0 for scope, _ in fires):
+    (s_scope, s_segment), (v_scope, v_segment) = string.fire_scopes, value.fire_scopes
+    if len(s_scope) == 0 or len(v_scope) == 0:
         return out
     # rec<<32|scope leaves no room for the segment, so rank the scope keys of
-    # all parts together and pack (record, scope, segment) as rank*width+segment.
-    scopes, rank = np.unique(np.concatenate([scope for scope, _ in fires]), return_inverse=True)
-    width = max(int(segment.max()) for _, segment in fires) + 1
+    # both parts together and pack (record, scope, segment) as rank*width+segment.
+    scopes, rank = np.unique(np.concatenate((s_scope, v_scope)), return_inverse=True)
+    width = int(max(s_segment.max(), v_segment.max())) + 1
     if len(scopes) * width > 1 << 63:
         raise OverflowError(f"{len(scopes)} scopes x {width} segments overflow int64 keys")
-    keys = rank.astype(np.int64) * width + np.concatenate([segment for _, segment in fires])
-    first, *rest = np.split(keys, np.cumsum([len(scope) for scope, _ in fires])[:-1])
-    common = np.unique(first)
-    for part in rest:
-        common = np.intersect1d(common, np.unique(part), assume_unique=True)
-    if len(common):
-        out[scopes[common // width] >> 32] = True
+    keys = rank.astype(np.int64) * width + np.concatenate((s_segment, v_segment))
+    common = np.intersect1d(keys[: len(s_scope)], keys[len(s_scope) :])
+    out[scopes[common // width] >> 32] = True
     return out
 
 
@@ -603,20 +513,20 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22):
         if not buffer:
             break
         index = build_scan_index(buffer)
-        if not eof and index.n_records and int(index.rec_ends[-1]) == len(buffer):
-            # Final span may continue in the next chunk; carry and retry it.
-            if index.n_records == 1:
-                carry = buffer + (stream.read(chunk_bytes) or b"")
-                if len(carry) == len(buffer):
-                    eof = True
+        if not eof and (
+            not index.n_records or index.n_records == 1 and int(index.rec_ends[0]) == len(buffer)
+        ):
+            # No record or one that may go on: double the buffer and rescan,
+            # so a record larger than every chunk costs linear scanning.
+            more = stream.read(len(buffer))
+            if more:
+                carry = buffer + more
                 continue
+            eof = True
+        if not eof and int(index.rec_ends[-1]) == len(buffer):
+            # Final span may continue in the next chunk; carry and retry it.
             cut = int(index.rec_starts[-1])
             carry = buffer[cut:]
             buffer = buffer[:cut]
             index = drop_last_record(index)
-        elif not eof and not index.n_records:
-            carry = buffer + (stream.read(chunk_bytes) or b"")
-            if len(carry) == len(buffer):
-                eof = True
-            continue
         yield index, buffer

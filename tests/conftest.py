@@ -5,6 +5,8 @@ from decimal import Decimal
 import pytest
 from hypothesis import settings, strategies as st
 
+from rawfilter.explorer import ExplorerOptions
+from rawfilter.filter import Mode
 from rawfilter.query import And, Or, Predicate
 from rawfilter.ranges import NumericBound
 
@@ -83,6 +85,17 @@ def flat_record(rng: random.Random, names, lo=-50.0, hi=6000.0) -> bytes:
 QUERY_ATTRS = ("temperature", "humidity", "light")
 # Shuffled spellings that block length 1 confuses with QUERY_ATTRS and 2 does not.
 CONFUSABLE_ATTRS = ("temperatrue", "hmuidity", "lihgt")
+# Every mode including OMIT, with each block length.
+ALL_MODES = ExplorerOptions(modes=tuple(Mode), blocks=(1, 2, "N"))
+
+
+def fuzz_records(seed: int, n: int) -> bytes:
+    """NDJSON of SenML, flat and random records over the query and confusable names."""
+    rng = random.Random(seed)
+    makers = (senml_record, flat_record, lambda r, names: random_json_record(r))
+    names = QUERY_ATTRS + CONFUSABLE_ATTRS
+    records = [rng.choice(makers)(rng, rng.sample(names, 3)) for _ in range(n)]
+    return b"\n".join(records) + b"\n"
 
 
 @st.composite

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rawfilter import batch
 from rawfilter.batch import (
@@ -17,6 +18,7 @@ from rawfilter.batch import (
     number_fire_positions,
     string_fire_positions,
 )
+from rawfilter.explorer import config_notation, enumerate_configs
 from rawfilter.filter import (
     FilterConfig,
     Mode,
@@ -30,7 +32,7 @@ from rawfilter.ranges import build_range_dfa
 from rawfilter.scanner import ScannerState, iter_events, segment_records
 from rawfilter.strings import SubstringBlockMatcher, make_string_matcher
 
-from conftest import random_json_record, senml_record, flat_record
+from conftest import ALL_MODES, flat_record, fuzz_records, random_json_record, senml_record
 
 
 def fuzz_stream(seed: int, n: int = 150) -> bytes:
@@ -77,6 +79,32 @@ def test_attribution_matches_reference_events(seed):
         assert events[p].segment == seg, p
 
 
+def assert_index_matches_reference(data: bytes):
+    index = build_scan_index(data)
+    events = reference_arrays(data)
+    assert np.array_equal(index.in_string, np.array([e.in_string for e in events], dtype=bool)), data
+    assert np.array_equal(index.level, np.array([e.level for e in events], dtype=np.int32)), data
+    expected = [(s.start, s.end, s.malformed) for s in segment_records(data)]
+    assert expected == [(s.start, s.end, s.malformed) for s in index.spans()], data
+    opens = [e.offset for e in events if not e.in_string and e.byte in b"{["]
+    assert index.open_pos.tolist() == opens, data
+    commas = {}
+    for e in events:
+        if e.structural_comma:
+            commas.setdefault(e.level, []).append(e.offset)
+    assert {lvl: pos.tolist() for lvl, pos in index.commas_by_level.items()} == commas, data
+
+
+STRUCTURAL_BYTES = b'{}[]",\\:ab0 \n'
+
+
+def inject_stray_bytes(data: bytes, rng: random.Random, count: int) -> bytes:
+    out = bytearray(data)
+    for _ in range(count):
+        out.insert(rng.randrange(len(out) + 1), rng.choice(b'\\"}\n'))
+    return bytes(out)
+
+
 def test_fallback_paths_match_reference_on_malformed_input():
     rng = random.Random(5)
     cases = [
@@ -90,14 +118,52 @@ def test_fallback_paths_match_reference_on_malformed_input():
         b"   \n  ",
         b'{"a":"}"}\n{"b":"\\\\"}',
     ]
-    cases += [bytes(rng.choice(b'{}[]",\\:ab0 \n') for _ in range(rng.randint(0, 60))) for _ in range(150)]
+    cases += [bytes(rng.choice(STRUCTURAL_BYTES) for _ in range(rng.randint(0, 60))) for _ in range(150)]
+    cases += [inject_stray_bytes(fuzz_stream(seed, 30), rng, rng.randint(1, 4)) for seed in range(20)]
     for data in cases:
-        index = build_scan_index(data)
-        events = reference_arrays(data)
-        assert np.array_equal(index.in_string, np.array([e.in_string for e in events], dtype=bool)), data
-        assert np.array_equal(index.level, np.array([e.level for e in events], dtype=np.int32)), data
-        expected = [(s.start, s.end, s.malformed) for s in segment_records(data)]
-        assert expected == [(s.start, s.end, s.malformed) for s in index.spans()], data
+        assert_index_matches_reference(data)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=80).map(lambda raw: bytes(STRUCTURAL_BYTES[b % len(STRUCTURAL_BYTES)] for b in raw)))
+def test_index_matches_reference_over_structural_bytes(data):
+    assert_index_matches_reference(data)
+
+
+MALFORMED_QUERY = (
+    '(0.7 <= "temperature" <= 35.1) AND ((20 <= "humidity" <= 69) OR (0 <= "light" <= 5153))'
+)
+
+
+def malformed_stream(seed: int) -> bytes:
+    """Fuzz records with a stray backslash outside strings, unmatched closes
+    and scalar lines that run into a record."""
+    rng = random.Random(seed)
+    records = fuzz_records(seed, 16).splitlines()
+    keyed = [i for i, r in enumerate(records) if b',"' in r]
+    at = rng.sample(keyed, 2)
+    at += rng.sample([i for i in range(len(records)) if i not in at], 4)
+    records[at[0]] = records[at[0]].replace(b',"', b',\\ "', 1)
+    records[at[1]] = records[at[1]].replace(b',"', b',\\"', 1)
+    records[at[2]] += b"}"
+    records[at[3]] = b"}" + records[at[3]]
+    records[at[4]] = b"42 " + records[at[4]]
+    records[at[5]] = b"\\\n" + records[at[5]]
+    return b"\n".join(records) + b"\n"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_matches_reference_on_malformed_streams(seed):
+    ast = parse_query(MALFORMED_QUERY)
+    data = malformed_stream(seed)
+    corpus = CorpusIndex(data)
+    records = corpus.records()
+    assert records == [s.slice(data) for s in segment_records(data)]
+    for cfg in enumerate_configs(ast, ALL_MODES)[seed::7]:
+        expr = compile_filter(ast, cfg)
+        assert evaluate_config_batch(corpus, ast, cfg).tolist() == [
+            accepts(expr, r) for r in records
+        ], config_notation(ast, cfg)
 
 
 @pytest.mark.parametrize("pattern,block", [("temperature", 1), ("temperature", 2), ("tolls_amount", 1), ("temperature", "N"), ("ab", 1)])
@@ -219,21 +285,18 @@ def test_corpus_index_is_freed_without_a_gc_pass():
 def test_segment_keys_refuse_to_overflow_int64():
     huge = SimpleNamespace(fire_scopes=(np.asarray([1 << 32, 2 << 32]), np.asarray([0, 1 << 62])))
     with pytest.raises(OverflowError):
-        _segment_conj_vector(3, [huge, huge])
+        _segment_conj_vector(3, huge, huge)
 
 
 def test_chunked_iteration_recovers_all_records():
-    data = fuzz_stream(10)
-    whole = [
-        (s.start, s.end) for s in segment_records(data)
-    ]
-    for chunk_bytes in (64, 512, 4096, 1 << 20):
-        collected = []
-        for index, buffer in iter_chunk_indexes(io.BytesIO(data), chunk_bytes):
-            for start, end in zip(index.rec_starts, index.rec_ends):
-                collected.append(buffer[int(start) : int(end)])
-        expected_payloads = [data[a:b] for a, b in whole]
-        assert collected == expected_payloads, chunk_bytes
+    for data in (fuzz_stream(10), malformed_stream(0)):
+        expected = [(s.slice(data), s.malformed) for s in segment_records(data)]
+        for chunk_bytes in (7, 64, 512, 4096, 1 << 20):
+            collected = []
+            for index, buffer in iter_chunk_indexes(io.BytesIO(data), chunk_bytes):
+                for start, end, malformed in zip(index.rec_starts, index.rec_ends, index.rec_malformed):
+                    collected.append((buffer[int(start) : int(end)], bool(malformed)))
+            assert collected == expected, chunk_bytes
 
 
 def test_single_record_larger_than_chunk():

@@ -37,14 +37,7 @@ from rawfilter.query import parse_query
 
 from decimal import Decimal
 
-from conftest import (
-    CONFUSABLE_ATTRS,
-    QUERY_ATTRS,
-    flat_record,
-    query_asts,
-    random_json_record,
-    senml_record,
-)
+from conftest import ALL_MODES, fuzz_records, query_asts
 
 
 def make_report(fpr, cost, name, i=0):
@@ -362,17 +355,6 @@ def test_explore_csv_digests_are_pinned():
     ]
 
 
-ALL_MODES = ExplorerOptions(modes=tuple(Mode), blocks=(1, 2, "N"))
-
-
-def _fuzz_records(seed: int, n: int) -> bytes:
-    rng = random.Random(seed)
-    makers = (senml_record, flat_record, lambda r, names: random_json_record(r))
-    names = QUERY_ATTRS + CONFUSABLE_ATTRS
-    records = [rng.choice(makers)(rng, rng.sample(names, 3)) for _ in range(n)]
-    return b"\n".join(records) + b"\n"
-
-
 def _outcome(ast, cfg, corpus, labels):
     try:
         r = evaluate_config(ast, cfg, corpus, labels)
@@ -384,7 +366,7 @@ def _outcome(ast, cfg, corpus, labels):
 @settings(max_examples=10)
 @given(ast=query_asts(), seed=st.integers(0, 2**32 - 1))
 def test_shared_corpus_cache_matches_a_fresh_corpus_per_config(ast, seed):
-    data = _fuzz_records(seed, 30)
+    data = fuzz_records(seed, 30)
     shared = CorpusIndex(data)
     labels = label_dataset(ast, shared.records())
     configs = enumerate_configs(ast, ALL_MODES)
@@ -422,7 +404,7 @@ def test_enumeration_equals_validating_every_combination(ast):
 @given(ast=query_asts(), seed=st.integers(0, 2**32 - 1))
 def test_every_valid_config_agrees_with_the_compiled_reference(ast, seed):
     # Every mode including OMIT, so omitted leaves sit under nested AND/OR.
-    corpus = CorpusIndex(_fuzz_records(seed, 8))
+    corpus = CorpusIndex(fuzz_records(seed, 8))
     records = corpus.records()
     for cfg in enumerate_configs(ast, ALL_MODES):
         expr = compile_filter(ast, cfg)
