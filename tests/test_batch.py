@@ -282,6 +282,28 @@ def test_corpus_index_is_freed_without_a_gc_pass():
         gc.enable()
 
 
+def test_position_tables_are_int64():
+    # int32 positions wrap past 2 GiB, and eval/explore index whole files;
+    # checking the dtypes on a small input needs no 2 GiB allocation.
+    from decimal import Decimal
+
+    from rawfilter.ranges import NumericBound
+
+    index = build_scan_index(fuzz_stream(13, 40))
+    tables = {"rec_starts": index.rec_starts, "rec_ends": index.rec_ends, "open_pos": index.open_pos}
+    tables.update((f"opens_by_level[{k}]", v) for k, v in index.opens_by_level.items())
+    tables.update((f"commas_by_level[{k}]", v) for k, v in index.commas_by_level.items())
+    starts, ends, last_digit, heuristic = index.numeric_tokens()
+    tables.update(token_starts=starts, token_ends=ends, token_last_digit=last_digit)
+    for block in (1, 2, "N"):
+        tables[f"string_fires[{block}]"] = string_fire_positions(index, b"temperature", block)
+    fires, attrs = number_fire_positions(index, build_range_dfa(NumericBound(Decimal(0), Decimal(100))))
+    tables.update(range_fires=fires, range_attrs=attrs)
+    assert all(len(v) for v in tables.values()), {k: len(v) for k, v in tables.items()}
+    assert {k: str(v.dtype) for k, v in tables.items() if v.dtype != np.int64} == {}
+    assert heuristic.dtype == bool
+
+
 def test_segment_keys_refuse_to_overflow_int64():
     huge = SimpleNamespace(fire_scopes=(np.asarray([1 << 32, 2 << 32]), np.asarray([0, 1 << 62])))
     with pytest.raises(OverflowError):
