@@ -2,10 +2,13 @@
 
 Runs the same scanner/primitive/composition semantics as the per-byte
 reference path, but over whole buffers with numpy. The structural index is
-computed simdjson-style (backslash-run parity for escapes, quote parity for
-the string mask, bracket cumsums for nesting, sparse position tables for
-record segmentation); primitives reduce to lookup tables, run-length
-arithmetic and per-token DFA lockstep.
+sparse, after Mison and simdjson's stage 1: one pass of byte compares finds
+every quote, backslash, bracket, comma and newline, and escape parity, the
+string state, bracket depth and record segmentation are computed over those
+positions only. The index keeps int64 position tables (brackets with their
+depth, opens, commas, record spans) and no per-byte array; primitives find
+level, record, scope and segment at their fire positions by binary search.
+Primitives reduce to byte compares, run edges and per-token DFA lockstep.
 
 The index follows the reference scanner on every input, non-JSON included:
 a backslash outside a string is a plain byte, a close bracket at level 0 is
@@ -21,37 +24,67 @@ import numpy as np
 
 from .filter import Mode, Plan, PlanAnd, PlanLeaf, plan_leaves, string_notation, validate_config
 from .query import QueryAst
-from .ranges import NUMERIC_CLASS, RangeDfa, _IS_DIGIT, _IS_EXP, build_range_dfa
+from .ranges import RangeDfa, build_range_dfa
 from .scanner import RecordSpan
 from .strings import build_substring_set, resolve_block_len
 
-_WS = np.zeros(256, dtype=bool)
-for _c in b" \t\r\n":
-    _WS[_c] = True
+_QUOTE, _BACKSLASH, _COMMA, _NEWLINE = b'"\\,\n'
+# b | 0x20 folds '[' onto '{' and ']' onto '}'.
+_OPEN, _CLOSE = b"{}"
+_WHITESPACE = np.frombuffer(b" \t\r\n", dtype=np.uint8)
+_EMPTY = np.empty(0, dtype=np.int64)
 
-_OPEN_LUT = np.zeros(256, dtype=bool)
-_OPEN_LUT[ord("{")] = _OPEN_LUT[ord("[")] = True
-_CLOSE_LUT = np.zeros(256, dtype=bool)
-_CLOSE_LUT[ord("}")] = _CLOSE_LUT[ord("]")] = True
+
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the maximal True runs of a bool array; ends exclusive."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[0::2], edges[1::2]
+
+
+def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [start, start + length), as int64 positions."""
+    before = np.cumsum(lengths) - lengths
+    return np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, by sort and compare: numpy's hash-based
+    `np.unique` is an order of magnitude slower on the int64 keys met here."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _group_by_level(positions: np.ndarray, levels: np.ndarray) -> dict:
+    """level -> the sorted positions at that level, in one stable sort."""
+    if not len(positions):
+        return {}
+    # Levels are never negative; as the smallest unsigned type, a stable sort is a radix sort.
+    order = np.argsort(levels.astype(np.min_scalar_type(levels.max())), kind="stable")
+    levels = levels[order]
+    cuts = np.flatnonzero(np.diff(levels)) + 1
+    parts = np.split(positions[order], cuts)
+    return dict(zip(levels[np.concatenate(([0], cuts))].tolist(), parts))
 
 
 @dataclass
 class ScanIndex:
-    """Structural view of one buffer: masks plus sparse position tables."""
+    """Sparse structural view of one buffer: int64 position tables only."""
 
-    data: np.ndarray  # uint8
-    in_string: np.ndarray  # bool per byte, content + closing quote
-    level: np.ndarray  # int32 per byte, close brackets keep their scope level
-    open_pos: np.ndarray  # positions of structural opens; scope id = index + 1
-    opens_by_level: dict  # level -> sorted positions of structural opens
-    commas_by_level: dict  # level -> sorted positions of structural commas
+    raw: bytes  # the buffer, searched by exact and long-gram string matchers
+    data: np.ndarray  # uint8 view of raw, not a copy
+    brackets: np.ndarray  # structural brackets; a close at level 0 is content, not listed
+    depth: np.ndarray  # nesting depth after each bracket
+    open_pos: np.ndarray  # structural opens; scope id = index + 1
+    commas: np.ndarray  # structural commas
+    comma_level: np.ndarray  # level of each structural comma
     rec_starts: np.ndarray
-    rec_ends: np.ndarray
-    rec_malformed: np.ndarray
-    inside: np.ndarray  # bool per byte: belongs to some record span
-    rec_start_per_pos: np.ndarray  # int32, valid where inside
+    rec_ends: np.ndarray  # exclusive
+    rec_malformed: np.ndarray  # bool
 
-    _positions: np.ndarray | None = None
+    _opens_by_level: dict | None = None
+    _commas_by_level: dict | None = None
     _tokens: tuple | None = None
 
     @property
@@ -59,60 +92,68 @@ class ScanIndex:
         return len(self.rec_starts)
 
     @property
-    def positions(self) -> np.ndarray:
-        if self._positions is None:
-            self._positions = np.arange(len(self.data), dtype=np.int32)
-        return self._positions
+    def opens_by_level(self) -> dict:
+        """level -> sorted positions of structural opens, built on first use."""
+        if self._opens_by_level is None:
+            is_open = np.diff(self.depth, prepend=0) > 0
+            self._opens_by_level = _group_by_level(self.open_pos, self.depth[is_open])
+        return self._opens_by_level
+
+    @property
+    def commas_by_level(self) -> dict:
+        """level -> sorted positions of structural commas, built on first use."""
+        if self._commas_by_level is None:
+            self._commas_by_level = _group_by_level(self.commas, self.comma_level)
+        return self._commas_by_level
+
+    def level_at(self, positions) -> np.ndarray:
+        """`scanner.ScanEvent.level` at each position: the depth after the
+        last bracket at or before it, plus one on a close bracket."""
+        pos = np.asarray(positions, dtype=np.int64)
+        k = np.searchsorted(self.brackets, pos, side="right")
+        level = np.append(0, self.depth)[k]
+        on_close = (np.append(-1, self.brackets)[k] == pos) & ((self.data[pos] | 0x20) == _CLOSE)
+        return level + on_close
+
+    def in_string_at(self, positions) -> np.ndarray:
+        """`scanner.ScanEvent.in_string` at each position. Recomputes the
+        quotes from the buffer, so it is meant for checks, not primitives."""
+        pos, byte = _structural_bytes(self.data)
+        quotes = pos[_real_quotes(pos, byte)]
+        return (np.searchsorted(quotes, np.asarray(positions, dtype=np.int64)) & 1) == 1
 
     def numeric_tokens(self) -> tuple:
         """Digit-bearing token geometry, shared by every range primitive.
 
-        Returns (starts, ends_inclusive, last_digit, heuristic_fire).
+        Returns int64 (starts, ends_inclusive, last_digit) and the bool
+        heuristic_fire of each maximal run of numeric-class bytes
+        (digits, '+', '-', '.', 'e', 'E') that holds a digit and lies in a
+        kept record.
         """
         if self._tokens is not None:
             return self._tokens
         d = self.data
-        n = len(d)
-        empty = np.empty(0, dtype=np.int64)
-        if n == 0:
-            self._tokens = (empty, empty, empty, np.empty(0, dtype=bool))
-            return self._tokens
-        num = NUMERIC_CLASS[d] & self.inside
-        prev = np.empty(n, dtype=bool)
-        prev[0] = False
-        prev[1:] = num[:-1]
-        nxt = np.empty(n, dtype=bool)
-        nxt[-1] = False
-        nxt[:-1] = num[1:]
-        starts = np.nonzero(num & ~prev)[0]
-        if len(starts) == 0:
-            self._tokens = (empty, empty, empty, np.empty(0, dtype=bool))
-            return self._tokens
-        ends = np.nonzero(num & ~nxt)[0]  # inclusive last byte per token
-
-        # Tokens without a digit never fire; drop them before the heavy work.
-        isdig = _IS_DIGIT[d]
-        dig_cum = np.concatenate(([0], np.cumsum(isdig, dtype=np.int32)))
-        has_digit = (dig_cum[ends + 1] - dig_cum[starts]) > 0
-        starts, ends = starts[has_digit], ends[has_digit]
-        if len(starts) == 0:
-            self._tokens = (empty, empty, empty, np.empty(0, dtype=bool))
-            return self._tokens
-
-        idx = self.positions
-        bounds = np.column_stack((starts, ends + 1)).ravel()
-        idx_dig = np.concatenate((np.where(isdig, idx, np.int32(-1)), [np.int32(-1)]))
-        last_digit = np.maximum.reduceat(idx_dig, bounds)[::2]
-        if bool(np.any(_IS_EXP[d] & num)):
-            sentinel = np.int32(-n - 1)
-            neg_idx_dig = np.concatenate((np.where(isdig, -idx, sentinel), [sentinel]))
-            first_digit = -np.maximum.reduceat(neg_idx_dig, bounds)[::2]
-            idx_exp = np.concatenate((np.where(_IS_EXP[d], idx, np.int32(-1)), [np.int32(-1)]))
-            last_exp = np.maximum.reduceat(idx_exp, bounds)[::2]
-            heuristic = last_exp > first_digit
-        else:
-            heuristic = np.zeros(len(starts), dtype=bool)
-        self._tokens = (starts, ends, last_digit, heuristic)
+        digit = (d - np.uint8(ord("0"))) < 10  # uint8 wraps below '0'
+        exp = (d | 0x20) == ord("e")
+        num = digit | exp
+        for c in b"+-.":
+            num |= d == c
+        starts, ends = _runs(num)
+        digit_starts, digit_ends = _runs(digit)
+        # Digit runs nest inside tokens: number each by its token, and keep
+        # the tokens that hold one, with their first and last digit.
+        token = np.searchsorted(starts, digit_starts, side="right") - 1
+        first = np.diff(token, prepend=-1) != 0
+        last = np.diff(token, append=len(starts)) != 0
+        starts, ends = starts[token[first]], ends[token[first]]
+        first_digit, last_digit = digit_starts[first], digit_ends[last] - 1
+        exp_pos = np.flatnonzero(exp)
+        last_exp = np.append(-1, exp_pos)[np.searchsorted(exp_pos, ends)]
+        record_start = self.record_start_of(ends - 1)
+        keep = (record_start >= 0) & (starts >= record_start)
+        starts, ends, last_digit = starts[keep], ends[keep], last_digit[keep]
+        heuristic = last_exp[keep] > first_digit[keep]
+        self._tokens = (starts, ends - 1, last_digit, heuristic)
         return self._tokens
 
     def spans(self) -> list[RecordSpan]:
@@ -124,14 +165,23 @@ class ScanIndex:
     def record_of(self, positions: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.rec_starts, positions, side="right") - 1
 
+    def record_start_of(self, positions: np.ndarray) -> np.ndarray:
+        """Start of the kept record holding each position, -1 where none does."""
+        rec = self.record_of(positions)
+        inside = rec >= 0
+        inside[inside] = positions[inside] < self.rec_ends[rec[inside]]
+        start = np.full(len(rec), -1, dtype=np.int64)
+        start[inside] = self.rec_starts[rec[inside]]
+        return start
+
     def attribute_many(self, positions: np.ndarray):
         """Vectorized (record, scope_id, segment) for an array of positions."""
         pos = np.asarray(positions, dtype=np.int64)
         rec = self.record_of(pos)
         scope = np.zeros(len(pos), dtype=np.int64)
         segment = np.zeros(len(pos), dtype=np.int64)
-        lvl = self.level[pos]
-        for level in np.unique(lvl):
+        lvl = self.level_at(pos)
+        for level in _unique(lvl):
             sel = lvl == level
             p = pos[sel]
             if level <= 0:
@@ -149,17 +199,30 @@ class ScanIndex:
 
 
 def drop_last_record(index: ScanIndex) -> ScanIndex:
-    """Remove the final record span in place (chunk carry)."""
-    start, end = int(index.rec_starts[-1]), int(index.rec_ends[-1])
-    index.inside[start:end] = False
+    """Remove the final record span in place (chunk carry). Primitives then
+    ignore every position past the last kept record."""
     index.rec_starts = index.rec_starts[:-1]
     index.rec_ends = index.rec_ends[:-1]
     index.rec_malformed = index.rec_malformed[:-1]
+    index._tokens = None
     return index
 
 
-def _real_quotes(d: np.ndarray) -> np.ndarray:
-    """Quotes that open or close a string under the reference scanner.
+def _structural_bytes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and bytes of every quote, backslash, bracket, comma and
+    newline, by byte compares."""
+    folded = d | 0x20
+    mask = folded == _OPEN
+    mask |= folded == _CLOSE
+    for c in (_QUOTE, _BACKSLASH, _COMMA, _NEWLINE):
+        mask |= d == c
+    pos = np.flatnonzero(mask)
+    return pos, d[pos]
+
+
+def _real_quotes(pos: np.ndarray, byte: np.ndarray) -> np.ndarray:
+    """Mask over the structural bytes: quotes that open or close a string
+    under the reference scanner.
 
     A quote after an even backslash run always toggles the string state. One
     after an odd run leaves the scanner inside a string either way: outside,
@@ -167,23 +230,29 @@ def _real_quotes(d: np.ndarray) -> np.ndarray:
     quote is escaped. So it is real exactly when the toggles since the
     previous odd-run quote (which left the scanner inside) leave it outside.
     """
-    quote = d == ord('"')
-    bs = d == ord("\\")
-    if not bool(bs.any()):
+    quote = byte == _QUOTE
+    bs_at = np.flatnonzero(byte == _BACKSLASH)
+    if not len(bs_at):
         return quote
-    qpos = np.nonzero(quote)[0]
-    last_non_bs = np.maximum.accumulate(np.where(bs, -1, np.arange(len(d), dtype=np.int32)))
-    prev_last = np.where(qpos > 0, last_non_bs[np.maximum(qpos - 1, 0)], -1)
-    odd = ((qpos - 1 - prev_last) & 1) == 1
-    odd_at = np.nonzero(odd)[0]
+    q_at = np.flatnonzero(quote)
+    # Backslashes are structural bytes, so the run before a quote is the
+    # sparse entries just before it, while their positions stay adjacent.
+    bs_pos = pos[bs_at]
+    run_starts = np.diff(bs_pos, prepend=-2) != 1
+    run_first = bs_pos[run_starts][np.cumsum(run_starts) - 1]
+    before = q_at - 1
+    after_bs = (before >= 0) & (byte[before] == _BACKSLASH) & (pos[before] == pos[q_at] - 1)
+    run_len = pos[q_at[after_bs]] - run_first[np.searchsorted(bs_at, before[after_bs])]
+    odd = np.zeros(len(q_at), dtype=bool)
+    odd[after_bs] = (run_len & 1) == 1
+    odd_at = np.flatnonzero(odd)
     toggles = np.cumsum(~odd, dtype=np.int64)[odd_at]
     # The first odd-run quote starts from outside, not inside: one toggle off.
     since = toggles - np.concatenate(([1], toggles[:-1]))
     real = ~odd
     real[odd_at[(since & 1) == 1]] = True
-    out = np.zeros(len(d), dtype=bool)
-    out[qpos[real]] = True
-    return out
+    quote[q_at[~real]] = False
+    return quote
 
 
 def build_scan_index(data: bytes) -> ScanIndex:
@@ -191,74 +260,70 @@ def build_scan_index(data: bytes) -> ScanIndex:
     `scanner.segment_records` on every input."""
     d = np.frombuffer(data, dtype=np.uint8)
     n = len(d)
+    pos, byte = _structural_bytes(d)
+    # The string state after each entry, which for a non-quote entry is also
+    # the state at its byte: keep the brackets, commas and newlines outside.
+    in_string = np.logical_xor.accumulate(_real_quotes(pos, byte))
+    eof_in_string = bool(len(pos) and in_string[-1])
+    at = np.flatnonzero(~in_string & (byte != _QUOTE) & (byte != _BACKSLASH))
+    pos, byte = pos[at], byte[at]
 
-    real_quote = _real_quotes(d)
-    qcum = np.cumsum(real_quote, dtype=np.int32)
-    in_string = ((qcum - real_quote) & 1) == 1
-    outside = ~in_string
-
-    opens = _OPEN_LUT[d] & outside
-    closes = _CLOSE_LUT[d] & outside
-    depth = np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.int32)
-    underflow = np.empty(0, dtype=np.int64)
-    if n and int(depth.min()) < 0:
+    folded = byte | 0x20
+    is_open = folded == _OPEN
+    is_close = folded == _CLOSE
+    depth = np.cumsum(is_open.view(np.int8) - is_close.view(np.int8), dtype=np.int64)
+    underflow = _EMPTY
+    if len(depth) and int(depth.min()) < 0:
         # A close at level 0 is plain content: clamp the depth at zero.
         floor = np.minimum(np.minimum.accumulate(depth), 0)
-        underflow = np.nonzero(np.diff(floor, prepend=np.int32(0)))[0]
+        dropped = np.flatnonzero(np.diff(floor, prepend=0))
         depth -= floor
-        closes[underflow] = False
-    level = depth + closes
+        is_close[dropped] = False
+        underflow = pos[dropped]
+    bracket_at = np.flatnonzero(is_open | is_close)
+    is_comma = byte == _COMMA
+    open_pos = pos[is_open]
+    top_opens = pos[is_open & (depth == 1)]
+    end_positions = pos[is_close & (depth == 0)]
+    line_ends = np.append(pos[(byte == _NEWLINE) & (depth == 0)], n)
 
     # Records: split into lines at depth-0 newlines. On each line, depth-0
     # opens start bracketed records until the first depth-0 byte that is
     # neither whitespace nor an open; that byte starts a scalar record which
-    # runs to the line's end.
-    top = level == 0
-    end_positions = np.nonzero(closes & (level == 1))[0]
-    line_ends = np.append(np.nonzero((d == ord("\n")) & outside & top)[0], n)
-    scalar = np.nonzero(top & ~_WS[d])[0]
+    # runs to the line's end. Depth-0 bytes lie in the gaps before each
+    # top-level open and after each return to depth 0.
+    gap_starts = np.concatenate(([0], end_positions + 1))
+    gap_ends = np.append(top_opens, n)[: len(gap_starts)]
+    gap = _expand(gap_starts, gap_ends - gap_starts)
+    scalar = gap[~np.isin(d[gap], _WHITESPACE)]
     scalar_line = np.searchsorted(line_ends, scalar)
     first = np.diff(scalar_line, prepend=-1) != 0
     scalar, scalar_line = scalar[first], scalar_line[first]
     scalar_ends = line_ends[scalar_line]
     scalar_malformed = np.searchsorted(underflow, scalar_ends) > np.searchsorted(underflow, scalar)
-    if n and bool(qcum[-1] & 1):
+    if eof_in_string:
         scalar_malformed |= scalar_ends == n  # ends at EOF inside a string
 
-    open_pos = np.nonzero(opens)[0]
-    open_level = level[open_pos]
-    bracketed = open_pos[open_level == 1]
     line_scalar = np.full(len(line_ends), n, dtype=np.int64)
     line_scalar[scalar_line] = scalar
-    bracketed = bracketed[bracketed < line_scalar[np.searchsorted(line_ends, bracketed)]]
+    bracketed = top_opens[top_opens < line_scalar[np.searchsorted(line_ends, top_opens)]]
     close_at = np.searchsorted(end_positions, bracketed)
     unclosed = close_at == len(end_positions)
     bracketed_ends = np.where(unclosed, n, np.append(end_positions, n)[close_at] + 1)
 
     rec_starts = np.concatenate((bracketed, scalar))
     order = np.argsort(rec_starts, kind="stable")
-    rec_starts = rec_starts[order]
-    rec_ends = np.concatenate((bracketed_ends, scalar_ends))[order]
-    rec_malformed = np.concatenate((unclosed, scalar_malformed))[order]
-
-    opens_by_level = {int(lvl): open_pos[open_level == lvl] for lvl in np.unique(open_level)}
-    comma_pos = np.nonzero((d == ord(",")) & outside)[0]
-    comma_level = level[comma_pos]
-    commas_by_level = {
-        int(lvl): comma_pos[comma_level == lvl] for lvl in np.unique(comma_level)
-    }
-
-    inside_delta = np.zeros(n + 1, dtype=np.int8)
-    inside_delta[rec_starts] = 1
-    np.subtract.at(inside_delta, rec_ends, 1)
-    inside = np.cumsum(inside_delta[:n], dtype=np.int32) > 0
-    marker = np.zeros(n, dtype=np.int32)
-    marker[rec_starts] = 1
-    ordinal = np.cumsum(marker, dtype=np.int32) - 1
-    rec_start_per_pos = rec_starts.astype(np.int32)[np.maximum(ordinal, 0)] if len(rec_starts) else marker
     return ScanIndex(
-        d, in_string, level, open_pos, opens_by_level, commas_by_level,
-        rec_starts, rec_ends, rec_malformed, inside, rec_start_per_pos,
+        raw=data,
+        data=d,
+        brackets=pos[bracket_at],
+        depth=depth[bracket_at],
+        open_pos=open_pos,
+        commas=pos[is_comma],
+        comma_level=depth[is_comma],
+        rec_starts=rec_starts[order],
+        rec_ends=np.concatenate((bracketed_ends, scalar_ends))[order],
+        rec_malformed=np.concatenate((unclosed, scalar_malformed))[order],
     )
 
 
@@ -267,41 +332,40 @@ def build_scan_index(data: bytes) -> ScanIndex:
 
 def _exact_fire_positions(index: ScanIndex, pattern: bytes) -> np.ndarray:
     """End positions of exact occurrences fully inside one record."""
-    data = index.data.tobytes()
+    data = index.raw
     hits = []
     at = data.find(pattern)
     while at != -1:
         hits.append(at + len(pattern) - 1)
         at = data.find(pattern, at + 1)
     if not hits:
-        return np.empty(0, dtype=np.int64)
+        return _EMPTY
     ends = np.asarray(hits, dtype=np.int64)
-    starts = ends - (len(pattern) - 1)
-    ok = index.inside[ends] & (starts >= index.rec_start_per_pos[ends])
-    return ends[ok]
+    start = index.record_start_of(ends)
+    return ends[(start >= 0) & (ends - (len(pattern) - 1) >= start)]
 
 
 def _gram_hit_mask(index: ScanIndex, pattern: bytes, block: int) -> np.ndarray:
+    """Per byte: the block-byte window ending there is one of the pattern's grams."""
     d = index.data
     n = len(d)
     grams = build_substring_set(pattern, block)
-    hit = np.zeros(n, dtype=bool)
     if block == 1:
-        lut = np.zeros(256, dtype=bool)
+        table = bytearray(256)
         for g in grams:
-            lut[g[0]] = True
-        hit[:] = lut[d]
-    elif block == 2 and n >= 2:
+            table[g[0]] = 1
+        return np.frombuffer(index.raw.translate(table), dtype=bool)
+    hit = np.zeros(n, dtype=bool)
+    if block == 2 and n >= 2:
         codes = (d[:-1].astype(np.uint16) << 8) | d[1:]
         gram_codes = np.sort(np.asarray([(g[0] << 8) | g[1] for g in grams], dtype=np.uint16))
         hit[1:] = np.isin(codes, gram_codes)
-    else:
-        data = d.tobytes()
+    elif block > 2:
         for g in grams:
-            at = data.find(g)
+            at = index.raw.find(g)
             while at != -1:
                 hit[at + block - 1] = True
-                at = data.find(g, at + 1)
+                at = index.raw.find(g, at + 1)
     return hit
 
 
@@ -311,27 +375,27 @@ def string_fire_positions(index: ScanIndex, pattern: bytes, block: int) -> np.nd
     block = resolve_block_len(pattern, block)
     if block == len(pattern):
         return _exact_fire_positions(index, pattern)
-    n = len(index.data)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    idx = index.positions
-    hit = _gram_hit_mask(index, pattern, block)
-    # Windows must sit inside a single record; runs restart at record starts.
-    hit &= index.inside
-    if block > 1:
-        hit &= idx - np.int32(block - 1) >= index.rec_start_per_pos
-    last_miss = np.maximum.accumulate(np.where(~hit, idx, np.int32(-1)))
-    barrier = np.maximum(last_miss, index.rec_start_per_pos - np.int32(1))
     threshold = len(pattern) - block + 1
-    return np.nonzero(hit & (idx - barrier >= threshold))[0]
+    starts, ends = _runs(_gram_hit_mask(index, pattern, block))
+    # Only a run of at least `threshold` hits can fire, from its
+    # threshold-th hit to its end.
+    long = ends - starts >= threshold
+    run_starts, ends = starts[long], ends[long]
+    firsts = run_starts + (threshold - 1)
+    pos = _expand(firsts, ends - firsts)
+    run_starts = np.repeat(run_starts, ends - firsts)
+    # The counter restarts at the record start, and the first block - 1
+    # bytes of a record end no window that lies inside it.
+    start = index.record_start_of(pos)
+    barrier = np.maximum(run_starts - 1, start + (block - 2))
+    return pos[(start >= 0) & (pos - barrier >= threshold)]
 
 
 def number_fire_positions(index: ScanIndex, rdfa: RangeDfa):
     """(fire offsets, attribution positions of the tokens' last digits)."""
     starts, ends, last_digit, heuristic = index.numeric_tokens()
-    empty = np.empty(0, dtype=np.int64)
     if len(starts) == 0:
-        return empty, empty
+        return _EMPTY, _EMPTY
     d = index.data
     lengths = ends - starts + 1
     # Lockstep the DFA over all tokens at once, column by column.
@@ -378,7 +442,7 @@ class PrimitiveFires:
     def scope_keys(self) -> np.ndarray:
         """Sorted unique rec<<32|scope keys."""
         if self._scope_keys is None:
-            self._scope_keys = np.unique(self.fire_scopes[0])
+            self._scope_keys = _unique(self.fire_scopes[0])
         return self._scope_keys
 
 
@@ -444,7 +508,7 @@ class CorpusIndex:
 def _scope_conj_vector(n_records: int, string: PrimitiveFires, value: PrimitiveFires) -> np.ndarray:
     common = np.intersect1d(string.scope_keys, value.scope_keys, assume_unique=True)
     out = np.zeros(n_records, dtype=bool)
-    out[np.unique(common >> 32)] = True
+    out[common >> 32] = True
     return out
 
 

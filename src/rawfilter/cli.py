@@ -134,7 +134,7 @@ def cmd_compile(args) -> int:
 
 
 def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 << 22) -> dict:
-    records_in = records_out = bytes_in = malformed = 0
+    records_in = records_out = bytes_in = malformed = chunks = largest = 0
     fires: dict[str, int] = {}
     started = time.perf_counter()
     if workers > 1:
@@ -142,6 +142,9 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
     else:
         results = _serial_accept(source, ast, cfg, chunk_bytes)
     for buffer, starts, ends, n_malformed, accepts, chunk_fires in results:
+        chunks += 1
+        if len(starts):
+            largest = max(largest, int((ends - starts).max()))
         records_in += len(starts)
         bytes_in += len(buffer)
         malformed += n_malformed
@@ -157,6 +160,8 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
         "records_in": records_in,
         "records_out": records_out,
         "bytes_in": bytes_in,
+        "chunks": chunks,
+        "largest_record_bytes": largest,
         "malformed": malformed,
         "accept_ratio": records_out / records_in if records_in else 0.0,
         "throughput_mb_s": round(bytes_in / elapsed / 1e6, 3),

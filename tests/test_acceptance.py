@@ -236,7 +236,7 @@ def test_criterion_08_string_mask_equivalence():
     expected = stdlib_in_string_mask(text)
     got_reference = [ev.in_string for ev in iter_events(stream)]
     assert got_reference == expected
-    got_batch = build_scan_index(stream).in_string
+    got_batch = build_scan_index(stream).in_string_at(np.arange(len(stream)))
     assert np.array_equal(got_batch, np.asarray(expected))
     ok(8, f"string mask equals the stdlib tokenizer on {len(records)} records "
           f"({len(stream)} bytes), reference and batch paths")

@@ -60,8 +60,9 @@ def test_masks_levels_and_spans_match_reference(seed):
     data = fuzz_stream(seed)
     index = build_scan_index(data)
     events = reference_arrays(data)
-    assert np.array_equal(index.in_string, np.array([e.in_string for e in events]))
-    assert np.array_equal(index.level, np.array([e.level for e in events], dtype=np.int32))
+    every = np.arange(len(data))
+    assert index.in_string_at(every).tolist() == [e.in_string for e in events]
+    assert index.level_at(every).tolist() == [e.level for e in events]
     expected = [(s.start, s.end, s.malformed) for s in segment_records(data)]
     assert expected == [(s.start, s.end, s.malformed) for s in index.spans()]
 
@@ -72,7 +73,11 @@ def test_attribution_matches_reference_events(seed):
     index = build_scan_index(data)
     events = reference_arrays(data)
     rng = random.Random(seed)
-    positions = sorted(p for p in rng.sample(range(len(data)), min(2000, len(data))) if index.inside[p])
+    # Brackets and commas are where level, scope and segment change.
+    structural = [e.offset for e in events if not e.in_string and e.byte in b"{}[],"]
+    sampled = rng.sample(range(len(data)), min(2000, len(data))) + rng.sample(structural, 500)
+    inside = index.record_start_of(np.asarray(sampled)) >= 0
+    positions = sorted({p for p, ok in zip(sampled, inside) if ok})
     rec, scope, segment = index.attribute_many(np.asarray(positions))
     for p, sc, seg in zip(positions, scope, segment):
         assert events[p].scope_id == sc, p
@@ -82,8 +87,9 @@ def test_attribution_matches_reference_events(seed):
 def assert_index_matches_reference(data: bytes):
     index = build_scan_index(data)
     events = reference_arrays(data)
-    assert np.array_equal(index.in_string, np.array([e.in_string for e in events], dtype=bool)), data
-    assert np.array_equal(index.level, np.array([e.level for e in events], dtype=np.int32)), data
+    every = np.arange(len(data))
+    assert index.in_string_at(every).tolist() == [e.in_string for e in events], data
+    assert index.level_at(every).tolist() == [e.level for e in events], data
     expected = [(s.start, s.end, s.malformed) for s in segment_records(data)]
     assert expected == [(s.start, s.end, s.malformed) for s in index.spans()], data
     opens = [e.offset for e in events if not e.in_string and e.byte in b"{["]
@@ -166,7 +172,8 @@ def test_batch_matches_reference_on_malformed_streams(seed):
         ], config_notation(ast, cfg)
 
 
-@pytest.mark.parametrize("pattern,block", [("temperature", 1), ("temperature", 2), ("tolls_amount", 1), ("temperature", "N"), ("ab", 1)])
+# '\n{"' with block 2: the first window of a record must not reach back over its start.
+@pytest.mark.parametrize("pattern,block", [("temperature", 1), ("temperature", 2), ("tolls_amount", 1), ("temperature", "N"), ("ab", 1), ('\n{"', 2)])
 def test_string_fire_positions_match_matcher_steps(pattern, block):
     data = fuzz_stream(6)
     index = build_scan_index(data)
@@ -319,6 +326,32 @@ def test_chunked_iteration_recovers_all_records():
                 for start, end, malformed in zip(index.rec_starts, index.rec_ends, index.rec_malformed):
                     collected.append((buffer[int(start) : int(end)], bool(malformed)))
             assert collected == expected, chunk_bytes
+
+
+def chunk_configs():
+    """One config per mode, each string mode over blocks 1, 2 and N."""
+    string_modes = (Mode.FLAT, Mode.SCOPED, Mode.KEYVALUE)
+    configs = [FilterConfig((PredicateConfig(Mode.VALUE_ONLY),) * 3)]
+    configs += [FilterConfig(tuple(PredicateConfig(m, b) for b in (1, 2, "N"))) for m in string_modes]
+    configs.append(FilterConfig((PredicateConfig(Mode.OMIT), PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, 2))))
+    return configs
+
+
+@pytest.mark.parametrize("cfg", chunk_configs(), ids=lambda cfg: "-".join(p.mode.value for p in cfg.predicates))
+def test_chunked_runs_write_the_unchunked_output(cfg):
+    # Chunk carries drop a buffer's last record; a fire in the dropped tail
+    # must not latch the record before it.
+    from rawfilter.cli import _run_stream
+
+    ast = parse_query(MALFORMED_QUERY)
+    expr = compile_filter(ast, cfg)
+    for data in (fuzz_stream(14), malformed_stream(1)):
+        kept = [s.slice(data) for s in segment_records(data) if accepts(expr, s.slice(data))]
+        expected = b"".join(record + b"\n" for record in kept)
+        for chunk_bytes in (7, 64, 512, 4096, 1 << 22):
+            out = io.BytesIO()
+            _run_stream(ast, cfg, io.BytesIO(data), out, chunk_bytes=chunk_bytes)
+            assert out.getvalue() == expected, chunk_bytes
 
 
 def test_single_record_larger_than_chunk():

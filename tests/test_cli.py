@@ -92,6 +92,18 @@ class TestRun:
         assert stats["accept_ratio"] == 0.5
         assert any(key.startswith("s1(") for key in stats["fires"])
 
+    def test_run_stats_schema_is_pinned(self, ws, tmp_path, capfdbinary):
+        (tmp_path / "empty.ndjson").write_bytes(b"")
+        scoped = self.make_descriptor(ws, "scoped")
+        for dataset, chunks, largest in ((ws / "data.ndjson", 1, len(LISTING_RECORD)), (tmp_path / "empty.ndjson", 0, 0)):
+            assert run_cli("run", "--filter", scoped, "--dataset", dataset) == 0
+            stats = json.loads(capfdbinary.readouterr().err.splitlines()[-1])
+            assert sorted(stats) == [
+                "accept_ratio", "bytes_in", "chunks", "fires", "largest_record_bytes", "malformed",
+                "records_in", "records_out", "throughput_mb_s", "wall_s",
+            ]
+            assert (stats["chunks"], stats["largest_record_bytes"]) == (chunks, largest)
+
     def test_accepted_records_byte_identical(self, ws, capfdbinary):
         scoped = self.make_descriptor(ws, "scoped")
         run_cli("run", "--filter", scoped, "--dataset", ws / "data.ndjson")
