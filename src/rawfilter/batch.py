@@ -9,6 +9,9 @@ positions only. The index keeps int64 position tables (brackets with their
 depth, opens, commas, record spans) and no per-byte array; primitives find
 level, record, scope and segment at their fire positions by binary search.
 Primitives reduce to byte compares, run edges and per-token DFA lockstep.
+The lockstep runs over shared per-chunk columns: the numeric tokens are
+found, ordered by length and their bytes gathered column by column once per
+index, and each range DFA then only steps its table over those columns.
 
 The index follows the reference scanner on every input, non-JSON included:
 a backslash outside a string is a plain byte, a close bracket at level 0 is
@@ -72,7 +75,7 @@ def _group_by_level(positions: np.ndarray, levels: np.ndarray) -> dict:
 class ScanIndex:
     """Sparse structural view of one buffer: int64 position tables only."""
 
-    raw: bytes  # the buffer, searched by exact and long-gram string matchers
+    raw: bytes  # the buffer, translated byte by byte by the 1-gram string matcher
     data: np.ndarray  # uint8 view of raw, not a copy
     brackets: np.ndarray  # structural brackets; a close at level 0 is content, not listed
     depth: np.ndarray  # nesting depth after each bracket
@@ -86,6 +89,7 @@ class ScanIndex:
     _opens_by_level: dict | None = None
     _commas_by_level: dict | None = None
     _tokens: tuple | None = None
+    _columns: tuple | None = None
 
     @property
     def n_records(self) -> int:
@@ -156,6 +160,25 @@ class ScanIndex:
         self._tokens = (starts, ends - 1, last_digit, heuristic)
         return self._tokens
 
+    def token_columns(self) -> tuple:
+        """The numeric tokens' bytes column by column, decoded once for every
+        range primitive.
+
+        Returns the token order by length (stable) and, for each column j,
+        the first token in that order that is longer than j and the uint8
+        bytes at offset j of it and every token after it.
+        """
+        if self._columns is None:
+            starts, ends = self.numeric_tokens()[:2]
+            lengths = ends - starts + 1
+            order = np.argsort(lengths, kind="stable")
+            starts, lengths = starts[order], lengths[order]
+            width = int(lengths[-1]) if len(lengths) else 0
+            firsts = np.searchsorted(lengths, np.arange(width), side="right").tolist()
+            columns = [self.data[starts[lo:] + j] for j, lo in enumerate(firsts)]
+            self._columns = (order, firsts, columns)
+        return self._columns
+
     def spans(self) -> list[RecordSpan]:
         return [
             RecordSpan(int(s), int(e), bool(m))
@@ -205,6 +228,7 @@ def drop_last_record(index: ScanIndex) -> ScanIndex:
     index.rec_ends = index.rec_ends[:-1]
     index.rec_malformed = index.rec_malformed[:-1]
     index._tokens = None
+    index._columns = None
     return index
 
 
@@ -330,17 +354,18 @@ def build_scan_index(data: bytes) -> ScanIndex:
 # --- primitive fires ----------------------------------------------------------
 
 
+def _occurrences(data: np.ndarray, pattern: bytes) -> np.ndarray:
+    """Start positions of every occurrence of a pattern, overlapping ones
+    included: the first-byte matches, kept while each following byte matches."""
+    at = np.flatnonzero(data[: max(len(data) - len(pattern) + 1, 0)] == pattern[0])
+    for j in range(1, len(pattern)):
+        at = at[data[at + j] == pattern[j]]
+    return at
+
+
 def _exact_fire_positions(index: ScanIndex, pattern: bytes) -> np.ndarray:
     """End positions of exact occurrences fully inside one record."""
-    data = index.raw
-    hits = []
-    at = data.find(pattern)
-    while at != -1:
-        hits.append(at + len(pattern) - 1)
-        at = data.find(pattern, at + 1)
-    if not hits:
-        return _EMPTY
-    ends = np.asarray(hits, dtype=np.int64)
+    ends = _occurrences(index.data, pattern) + (len(pattern) - 1)
     start = index.record_start_of(ends)
     return ends[(start >= 0) & (ends - (len(pattern) - 1) >= start)]
 
@@ -362,10 +387,7 @@ def _gram_hit_mask(index: ScanIndex, pattern: bytes, block: int) -> np.ndarray:
         hit[1:] = np.isin(codes, gram_codes)
     elif block > 2:
         for g in grams:
-            at = index.raw.find(g)
-            while at != -1:
-                hit[at + block - 1] = True
-                at = index.raw.find(g, at + 1)
+            hit[_occurrences(d, g) + (block - 1)] = True
     return hit
 
 
@@ -393,22 +415,18 @@ def string_fire_positions(index: ScanIndex, pattern: bytes, block: int) -> np.nd
 
 def number_fire_positions(index: ScanIndex, rdfa: RangeDfa):
     """(fire offsets, attribution positions of the tokens' last digits)."""
-    starts, ends, last_digit, heuristic = index.numeric_tokens()
-    if len(starts) == 0:
-        return _EMPTY, _EMPTY
-    d = index.data
-    lengths = ends - starts + 1
-    # Lockstep the DFA over all tokens at once, column by column.
-    order = np.argsort(lengths, kind="stable")
-    starts_o, lengths_o = starts[order], lengths[order]
-    states = np.zeros(len(starts), dtype=np.int16)
-    table = rdfa.table
-    lo = 0
-    for j in range(int(lengths_o[-1])):
-        lo = np.searchsorted(lengths_o, j, side="right")
-        active = slice(lo, len(starts_o))
-        states[active] = table[states[active], d[starts_o[active] + j]]
-    accept = np.zeros(len(starts), dtype=bool)
+    _, ends, last_digit, heuristic = index.numeric_tokens()
+    order, firsts, columns = index.token_columns()
+    # Lockstep the DFA over all tokens at once, column by column: the state
+    # of a token is a row of the byte-indexed table, row * 256 + byte its cell.
+    table = rdfa.table.ravel()
+    states = np.zeros(len(order), dtype=np.intp)
+    for lo, column in zip(firsts, columns):
+        active = states[lo:]
+        active <<= 8
+        active += column
+        states[lo:] = table[active]
+    accept = np.zeros(len(order), dtype=bool)
     accept[order] = rdfa.accept_mask[states]
     fired = accept | heuristic
     return (ends[fired] + 1), last_digit[fired]
@@ -519,12 +537,16 @@ def _segment_conj_vector(n_records: int, string: PrimitiveFires, value: Primitiv
         return out
     # rec<<32|scope leaves no room for the segment, so rank the scope keys of
     # both parts together and pack (record, scope, segment) as rank*width+segment.
-    scopes, rank = np.unique(np.concatenate((s_scope, v_scope)), return_inverse=True)
+    both = np.concatenate((s_scope, v_scope))
+    scopes = _unique(both)
     width = int(max(s_segment.max(), v_segment.max())) + 1
     if len(scopes) * width > 1 << 63:
         raise OverflowError(f"{len(scopes)} scopes x {width} segments overflow int64 keys")
-    keys = rank.astype(np.int64) * width + np.concatenate((s_segment, v_segment))
-    common = np.intersect1d(keys[: len(s_scope)], keys[len(s_scope) :])
+    rank = np.searchsorted(scopes, both)
+    keys = rank * width + np.concatenate((s_segment, v_segment))
+    # Not intersect1d: it dedups both sides with numpy's hash-based unique.
+    s_keys = keys[: len(s_scope)]
+    common = s_keys[np.isin(s_keys, keys[len(s_scope) :])]
     out[scopes[common // width] >> 32] = True
     return out
 

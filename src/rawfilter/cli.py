@@ -150,11 +150,11 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
         malformed += n_malformed
         for key, count in chunk_fires.items():
             fires[key] = fires.get(key, 0) + count
-        for start, end, ok in zip(starts, ends, accepts):
-            if ok:
-                records_out += 1
-                out.write(buffer[int(start):int(end)])
-                out.write(b"\n")
+        kept = [buffer[s:e] for s, e in zip(starts[accepts].tolist(), ends[accepts].tolist())]
+        if kept:
+            records_out += len(kept)
+            kept.append(b"")  # the last record's newline
+            out.write(b"\n".join(kept))
     elapsed = max(time.perf_counter() - started, 1e-9)
     return {
         "records_in": records_in,

@@ -2,6 +2,7 @@ import gc
 import io
 import random
 import weakref
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from rawfilter.batch import (
     CorpusIndex,
     _segment_conj_vector,
     build_scan_index,
+    drop_last_record,
     evaluate_config_batch,
     iter_chunk_indexes,
     number_fire_positions,
@@ -28,7 +30,7 @@ from rawfilter.filter import (
     validate_config,
 )
 from rawfilter.query import parse_query
-from rawfilter.ranges import build_range_dfa
+from rawfilter.ranges import NumericBound, RangeMatcher, build_range_dfa
 from rawfilter.scanner import ScannerState, iter_events, segment_records
 from rawfilter.strings import SubstringBlockMatcher, make_string_matcher
 
@@ -172,10 +174,38 @@ def test_batch_matches_reference_on_malformed_streams(seed):
         ], config_notation(ast, cfg)
 
 
+_UTF8 = '{"temp\u00e9rature":20}\n{"x":"temp\u00e9rature","y":"temp\u00e9ratur"}\n'.encode()
+_CROSSING = b'{"a":1}\n{"b":1}\n'
+
+
 # '\n{"' with block 2: the first window of a record must not reach back over its start.
-@pytest.mark.parametrize("pattern,block", [("temperature", 1), ("temperature", 2), ("tolls_amount", 1), ("temperature", "N"), ("ab", 1), ('\n{"', 2)])
-def test_string_fire_positions_match_matcher_steps(pattern, block):
-    data = fuzz_stream(6)
+# Block N and block 3 find occurrences by byte compares; the explicit buffers
+# hold overlapping occurrences, occurrences at the buffer's first and last
+# byte, a multi-byte UTF-8 attribute and occurrences across a record boundary,
+# which fire nowhere.
+_STRING_CASES = {
+    "temperature-1": ("temperature", 1, None),
+    "temperature-2": ("temperature", 2, None),
+    "tolls_amount-1": ("tolls_amount", 1, None),
+    "temperature-N": ("temperature", "N", None),
+    "temperature-3": ("temperature", 3, None),
+    "ab-1": ("ab", 1, None),
+    '\n{"-2': ('\n{"', 2, None),
+    "one-byte-N": ("e", "N", None),
+    "overlapping-N": ("aa", "N", b"aaaa"),
+    "overlapping-3": ("aaaa", 3, b"aaaaaaa\n"),
+    "buffer-edges-N": ("ab", "N", b"ab\nab"),
+    "buffer-edges-3": ("abcd", 3, b"abcd\nabcd"),
+    "utf8-N": ("temp\u00e9rature", "N", _UTF8),
+    "utf8-3": ("temp\u00e9rature", 3, _UTF8),
+    "across-records-N": ("}\n{", "N", _CROSSING),
+    "across-records-3": ('1}\n{"', 3, _CROSSING),
+}
+
+
+@pytest.mark.parametrize("pattern,block,data", list(_STRING_CASES.values()), ids=list(_STRING_CASES))
+def test_string_fire_positions_match_matcher_steps(pattern, block, data):
+    data = fuzz_stream(6) if data is None else data
     index = build_scan_index(data)
     got = string_fire_positions(index, pattern.encode(), block).tolist()
     expected = []
@@ -187,32 +217,64 @@ def test_string_fire_positions_match_matcher_steps(pattern, block):
     assert got == expected
 
 
-@pytest.mark.parametrize("bounds", [(35, None), (None, 49), ("0.7", "35.1"), ("-12.5", "43.1"), (1345, 26282)])
-def test_number_fire_positions_match_matcher_steps(bounds):
-    from decimal import Decimal
+_BOUNDS = [(35, None), (None, 49), ("0.7", "35.1"), ("-12.5", "43.1"), (1345, 26282)]
 
-    from rawfilter.ranges import NumericBound, RangeMatcher
 
+def _range_dfa(bounds):
     lo = Decimal(bounds[0]) if bounds[0] is not None else None
     hi = Decimal(bounds[1]) if bounds[1] is not None else None
-    rdfa = build_range_dfa(NumericBound(lo, hi, "decimal"))
-    data = fuzz_stream(7)
-    index = build_scan_index(data)
-    fire_pos, attr_pos = number_fire_positions(index, rdfa)
-    expected_fires, expected_attrs = [], []
-    for span in segment_records(data):
+    return build_range_dfa(NumericBound(lo, hi, "decimal"))
+
+
+def _range_matcher_fires(data: bytes, spans, rdfa):
+    """(fire offsets, attribution positions) of `RangeMatcher` steps over the spans."""
+    fires, attrs = [], []
+    for span in spans:
         payload = span.slice(data)
         matcher = RangeMatcher(rdfa)
-        events = list(iter_events(payload))
-        for ev in events:
+        for ev in iter_events(payload):
             if matcher.step(ev):
-                expected_fires.append(span.start + ev.offset)
-                expected_attrs.append(span.start + _last_digit_before(payload, ev.offset))
+                fires.append(span.start + ev.offset)
+                attrs.append(span.start + _last_digit_before(payload, ev.offset))
         if matcher.flush():
-            expected_fires.append(span.start + len(payload))
-            expected_attrs.append(span.start + _last_digit_before(payload, len(payload)))
-    assert fire_pos.tolist() == expected_fires
-    assert attr_pos.tolist() == expected_attrs
+            fires.append(span.start + len(payload))
+            attrs.append(span.start + _last_digit_before(payload, len(payload)))
+    return fires, attrs
+
+
+@pytest.mark.parametrize("bounds", _BOUNDS)
+def test_number_fire_positions_match_matcher_steps(bounds):
+    rdfa = _range_dfa(bounds)
+    data = fuzz_stream(7)
+    fire_pos, attr_pos = number_fire_positions(build_scan_index(data), rdfa)
+    assert (fire_pos.tolist(), attr_pos.tolist()) == _range_matcher_fires(data, segment_records(data), rdfa)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        fuzz_stream(7),
+        b'{"a":"x","b":[true,null]}\n["e",{}]\n',
+        b'{"a":1,"b":22}\n{"c":12345.25,"d":7}\n',
+    ],
+    ids=["fuzz", "no-numbers", "unique-longest"],
+)
+@pytest.mark.parametrize("carry", [False, True])
+def test_range_bounds_share_one_token_decode(data, carry):
+    """Every bound over one index, in either order, equals the matcher steps;
+    after a carry, the decode cached before it is not reused."""
+    rdfas = [_range_dfa(b) for b in _BOUNDS]
+    for bounds in (rdfas, rdfas[::-1]):
+        index = build_scan_index(data)
+        if carry:
+            number_fire_positions(index, bounds[0])
+            drop_last_record(index)
+        spans = index.spans()
+        for rdfa in bounds:
+            fire_pos, attr_pos = number_fire_positions(index, rdfa)
+            assert (fire_pos.tolist(), attr_pos.tolist()) == _range_matcher_fires(data, spans, rdfa)
+            if carry:
+                assert (fire_pos <= index.rec_ends[-1]).all()
 
 
 def _last_digit_before(payload: bytes, offset: int) -> int:
@@ -292,10 +354,6 @@ def test_corpus_index_is_freed_without_a_gc_pass():
 def test_position_tables_are_int64():
     # int32 positions wrap past 2 GiB, and eval/explore index whole files;
     # checking the dtypes on a small input needs no 2 GiB allocation.
-    from decimal import Decimal
-
-    from rawfilter.ranges import NumericBound
-
     index = build_scan_index(fuzz_stream(13, 40))
     tables = {"rec_starts": index.rec_starts, "rec_ends": index.rec_ends, "open_pos": index.open_pos}
     tables.update((f"opens_by_level[{k}]", v) for k, v in index.opens_by_level.items())
