@@ -174,6 +174,17 @@ def test_batch_matches_reference_on_malformed_streams(seed):
         ], config_notation(ast, cfg)
 
 
+@pytest.mark.parametrize("record", [b'"temperature",{}20', b'"temperature",[]20'])
+def test_level0_segments_run_from_the_record_start(record):
+    # Inside a scalar record a close back to level 0 ends no record, so it
+    # must not restart the count of the record's level-0 commas.
+    ast = parse_query('(0.7 <= "temperature" <= 35.1)')
+    cfg = FilterConfig((PredicateConfig(Mode.KEYVALUE, "N"),))
+    corpus = CorpusIndex(record + b"\n")
+    expected = [accepts(compile_filter(ast, cfg), r) for r in corpus.records()]
+    assert evaluate_config_batch(corpus, ast, cfg).tolist() == expected == [False]
+
+
 _UTF8 = '{"temp\u00e9rature":20}\n{"x":"temp\u00e9rature","y":"temp\u00e9ratur"}\n'.encode()
 _CROSSING = b'{"a":1}\n{"b":1}\n'
 
