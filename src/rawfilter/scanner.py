@@ -109,9 +109,9 @@ def scan_byte(state: ScannerState, b: int) -> ScanEvent:
             return ScanEvent(b, offset, False, 0, 0, segment)
         state.scope_stack.pop()
         state.nesting_level = level - 1
+        # Level-0 commas keep counting: inside a scalar record this close ends
+        # no record, and each record is filtered from a fresh state.
         record_end = state.nesting_level == 0
-        if record_end:
-            state.top_level_commas = 0
         return ScanEvent(b, offset, False, level, scope_id, segment, record_end=record_end)
 
     if b == _COMMA:
