@@ -7,7 +7,13 @@ every quote, backslash, bracket, comma and newline, and escape parity, the
 string state, bracket depth and record segmentation are computed over those
 positions only. The index keeps int64 position tables (brackets with their
 depth, opens, commas, record spans) and no per-byte array; primitives find
-level, record, scope and segment at their fire positions by binary search.
+level and record at their fire positions by binary search. Scope and segment
+come from two start tables, each built when a plan first reads it: sorted
+keys level * (n + 1) + start of every scope start (structural opens, record
+starts at level 0), and for segments also of each comma + 1. A fire's scope
+or segment is the row of the last key at or before its own, so SCOPED and
+KEYVALUE share one conjunction: mark the value fires' rows, look up the
+string fires' rows.
 Primitives reduce to byte compares, run edges and per-token DFA lockstep.
 The lockstep runs over shared per-chunk columns: the numeric tokens are
 found, ordered by length and their bytes gathered column by column once per
@@ -21,7 +27,7 @@ to the end of its line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,25 +56,12 @@ def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
 
 
-def _unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values, by sort and compare: numpy's hash-based
-    `np.unique` is an order of magnitude slower on the int64 keys met here."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
-
-
-def _group_by_level(positions: np.ndarray, levels: np.ndarray) -> dict:
-    """level -> the sorted positions at that level, in one stable sort."""
-    if not len(positions):
-        return {}
-    # Levels are never negative; as the smallest unsigned type, a stable sort is a radix sort.
-    order = np.argsort(levels.astype(np.min_scalar_type(levels.max())), kind="stable")
-    levels = levels[order]
-    cuts = np.flatnonzero(np.diff(levels)) + 1
-    parts = np.split(positions[order], cuts)
-    return dict(zip(levels[np.concatenate(([0], cuts))].tolist(), parts))
+def _start_keys(levels: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """level * (n + 1) + start for positions in a buffer of n bytes: ordered
+    by level, then by position."""
+    if len(levels) and int(levels.max()) * (n + 1) + n >= 1 << 63:
+        raise OverflowError(f"level {int(levels.max())} x {n + 1} positions overflow int64 keys")
+    return levels * (n + 1) + starts
 
 
 @dataclass
@@ -79,15 +72,14 @@ class ScanIndex:
     data: np.ndarray  # uint8 view of raw, not a copy
     brackets: np.ndarray  # structural brackets; a close at level 0 is content, not listed
     depth: np.ndarray  # nesting depth after each bracket
-    open_pos: np.ndarray  # structural opens; scope id = index + 1
+    open_pos: np.ndarray  # structural opens
     commas: np.ndarray  # structural commas
     comma_level: np.ndarray  # level of each structural comma
     rec_starts: np.ndarray
     rec_ends: np.ndarray  # exclusive
     rec_malformed: np.ndarray  # bool
 
-    _opens_by_level: dict | None = None
-    _commas_by_level: dict | None = None
+    _starts: dict = field(default_factory=dict)  # Mode -> start table
     _tokens: tuple | None = None
     _columns: tuple | None = None
 
@@ -95,20 +87,30 @@ class ScanIndex:
     def n_records(self) -> int:
         return len(self.rec_starts)
 
-    @property
-    def opens_by_level(self) -> dict:
-        """level -> sorted positions of structural opens, built on first use."""
-        if self._opens_by_level is None:
-            is_open = np.diff(self.depth, prepend=0) > 0
-            self._opens_by_level = _group_by_level(self.open_pos, self.depth[is_open])
-        return self._opens_by_level
+    def start_table(self, mode: Mode) -> np.ndarray:
+        """Sorted start keys, level * (n + 1) + position, built on first use.
 
-    @property
-    def commas_by_level(self) -> dict:
-        """level -> sorted positions of structural commas, built on first use."""
-        if self._commas_by_level is None:
-            self._commas_by_level = _group_by_level(self.commas, self.comma_level)
-        return self._commas_by_level
+        Under SCOPED: every structural open at its depth and every kept
+        record start at level 0, one row per scope. Under KEYVALUE also
+        comma + 1 at each structural comma's level, one row per segment.
+        """
+        table = self._starts.get(mode)
+        if table is None:
+            is_open = np.diff(self.depth, prepend=0) > 0
+            levels = [self.depth[is_open], np.zeros(self.n_records, dtype=np.int64)]
+            starts = [self.open_pos, self.rec_starts]
+            if mode is Mode.KEYVALUE:
+                levels.append(self.comma_level)
+                starts.append(self.commas + 1)
+            keys = _start_keys(np.concatenate(levels), np.concatenate(starts), len(self.data))
+            table = self._starts[mode] = np.sort(keys)
+        return table
+
+    def start_rows(self, mode: Mode, positions: np.ndarray) -> np.ndarray:
+        """Row of each position's scope (SCOPED) or segment (KEYVALUE) in the
+        start table: the last start at its level at or before it."""
+        keys = _start_keys(self.level_at(positions), positions, len(self.data))
+        return np.searchsorted(self.start_table(mode), keys, side="right") - 1
 
     def level_at(self, positions) -> np.ndarray:
         """`scanner.ScanEvent.level` at each position: the depth after the
@@ -197,29 +199,6 @@ class ScanIndex:
         start[inside] = self.rec_starts[rec[inside]]
         return start
 
-    def attribute_many(self, positions: np.ndarray):
-        """Vectorized (record, scope_id, segment) for an array of positions."""
-        pos = np.asarray(positions, dtype=np.int64)
-        rec = self.record_of(pos)
-        scope = np.zeros(len(pos), dtype=np.int64)
-        segment = np.zeros(len(pos), dtype=np.int64)
-        lvl = self.level_at(pos)
-        for level in _unique(lvl):
-            sel = lvl == level
-            p = pos[sel]
-            if level <= 0:
-                left = self.rec_starts[np.maximum(rec[sel], 0)]
-            else:
-                opens = self.opens_by_level[int(level)]
-                left = opens[np.searchsorted(opens, p, side="right") - 1]
-                scope[sel] = np.searchsorted(self.open_pos, left) + 1
-            commas = self.commas_by_level.get(int(level))
-            if commas is not None and len(commas):
-                segment[sel] = np.searchsorted(commas, p, side="left") - np.searchsorted(
-                    commas, left, side="right"
-                )
-        return rec, scope, segment
-
 
 def drop_last_record(index: ScanIndex) -> ScanIndex:
     """Remove the final record span in place (chunk carry). Primitives then
@@ -227,6 +206,7 @@ def drop_last_record(index: ScanIndex) -> ScanIndex:
     index.rec_starts = index.rec_starts[:-1]
     index.rec_ends = index.rec_ends[:-1]
     index.rec_malformed = index.rec_malformed[:-1]
+    index._starts = {}
     index._tokens = None
     index._columns = None
     return index
@@ -382,9 +362,9 @@ def _gram_hit_mask(index: ScanIndex, pattern: bytes, block: int) -> np.ndarray:
         return np.frombuffer(index.raw.translate(table), dtype=bool)
     hit = np.zeros(n, dtype=bool)
     if block == 2 and n >= 2:
-        codes = (d[:-1].astype(np.uint16) << 8) | d[1:]
-        gram_codes = np.sort(np.asarray([(g[0] << 8) | g[1] for g in grams], dtype=np.uint16))
-        hit[1:] = np.isin(codes, gram_codes)
+        table = np.zeros(1 << 16, dtype=bool)
+        table[[(g[0] << 8) | g[1] for g in grams]] = True
+        hit[1:] = table[(d[:-1].astype(np.uint16) << 8) | d[1:]]
     elif block > 2:
         for g in grams:
             hit[_occurrences(d, g) + (block - 1)] = True
@@ -436,32 +416,21 @@ def number_fire_positions(index: ScanIndex, rdfa: RangeDfa):
 
 
 class PrimitiveFires:
-    """Per-record latch flags plus scope/segment fire keys for conjunction."""
+    """Per-record latch flags, and each fire's scope or segment for conjunction."""
 
     def __init__(self, index: ScanIndex, attr_pos: np.ndarray):
         self._index = index
-        self._attr_pos = attr_pos  # where scope/segment attribution is taken
-        rec = index.record_of(attr_pos)
+        self.positions = attr_pos  # where scope/segment attribution is taken
         self.latch = np.zeros(index.n_records, dtype=bool)
-        self.latch[rec[rec >= 0]] = True
-        self._fire_scopes: tuple | None = None
-        self._scope_keys: np.ndarray | None = None
+        self.latch[index.record_of(attr_pos)] = True  # fires lie inside kept records
+        self._rows: dict = {}
 
-    @property
-    def fire_scopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rec<<32|scope, segment) of every fire inside a record."""
-        if self._fire_scopes is None:
-            rec, scope, segment = self._index.attribute_many(self._attr_pos)
-            keep = rec >= 0
-            self._fire_scopes = ((rec[keep] << 32) | scope[keep], segment[keep])
-        return self._fire_scopes
-
-    @property
-    def scope_keys(self) -> np.ndarray:
-        """Sorted unique rec<<32|scope keys."""
-        if self._scope_keys is None:
-            self._scope_keys = _unique(self.fire_scopes[0])
-        return self._scope_keys
+    def rows(self, mode: Mode) -> np.ndarray:
+        """Row of each fire in the index's start table of the mode, found on first use."""
+        rows = self._rows.get(mode)
+        if rows is None:
+            rows = self._rows[mode] = self._index.start_rows(mode, self.positions)
+        return rows
 
 
 class CorpusIndex:
@@ -511,44 +480,20 @@ class CorpusIndex:
                 string = self.string_fires(pred.attr, block)
                 if mode is Mode.FLAT:
                     vector = string.latch & value.latch
-                elif mode is Mode.SCOPED:
-                    vector = _scope_conj_vector(self.n_records, string, value)
                 else:
-                    vector = _segment_conj_vector(self.n_records, string, value)
+                    # SCOPED, KEYVALUE: a string fire that shares its scope or
+                    # segment, a row of the start table, with a value fire.
+                    marked = np.zeros(len(self.index.start_table(mode)), dtype=bool)
+                    marked[value.rows(mode)] = True
+                    hits = string.positions[marked[string.rows(mode)]]
+                    vector = np.zeros(self.n_records, dtype=bool)
+                    vector[self.index.record_of(hits)] = True
             vector.flags.writeable = False
             self._cache[key] = vector
         return vector
 
 
 # --- config evaluation over a corpus -------------------------------------------
-
-
-def _scope_conj_vector(n_records: int, string: PrimitiveFires, value: PrimitiveFires) -> np.ndarray:
-    common = np.intersect1d(string.scope_keys, value.scope_keys, assume_unique=True)
-    out = np.zeros(n_records, dtype=bool)
-    out[common >> 32] = True
-    return out
-
-
-def _segment_conj_vector(n_records: int, string: PrimitiveFires, value: PrimitiveFires) -> np.ndarray:
-    out = np.zeros(n_records, dtype=bool)
-    (s_scope, s_segment), (v_scope, v_segment) = string.fire_scopes, value.fire_scopes
-    if len(s_scope) == 0 or len(v_scope) == 0:
-        return out
-    # rec<<32|scope leaves no room for the segment, so rank the scope keys of
-    # both parts together and pack (record, scope, segment) as rank*width+segment.
-    both = np.concatenate((s_scope, v_scope))
-    scopes = _unique(both)
-    width = int(max(s_segment.max(), v_segment.max())) + 1
-    if len(scopes) * width > 1 << 63:
-        raise OverflowError(f"{len(scopes)} scopes x {width} segments overflow int64 keys")
-    rank = np.searchsorted(scopes, both)
-    keys = rank * width + np.concatenate((s_segment, v_segment))
-    # Not intersect1d: it dedups both sides with numpy's hash-based unique.
-    s_keys = keys[: len(s_scope)]
-    common = s_keys[np.isin(s_keys, keys[len(s_scope) :])]
-    out[scopes[common // width] >> 32] = True
-    return out
 
 
 def accept_vector(corpus: CorpusIndex, plan: Plan) -> np.ndarray:

@@ -133,6 +133,9 @@ def cmd_compile(args) -> int:
     return 0
 
 
+_WRITE_RECORDS = 1024  # accepted records joined into one write
+
+
 def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 << 22) -> dict:
     records_in = records_out = bytes_in = malformed = chunks = largest = 0
     fires: dict[str, int] = {}
@@ -150,9 +153,12 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
         malformed += n_malformed
         for key, count in chunk_fires.items():
             fires[key] = fires.get(key, 0) + count
-        kept = [buffer[s:e] for s, e in zip(starts[accepts].tolist(), ends[accepts].tolist())]
-        if kept:
-            records_out += len(kept)
+        starts, ends = starts[accepts].tolist(), ends[accepts].tolist()
+        records_out += len(starts)
+        # One write per slice of records: a chunk's output is copied a slice at a time.
+        for lo in range(0, len(starts), _WRITE_RECORDS):
+            hi = lo + _WRITE_RECORDS
+            kept = [buffer[s:e] for s, e in zip(starts[lo:hi], ends[lo:hi])]
             kept.append(b"")  # the last record's newline
             out.write(b"\n".join(kept))
     elapsed = max(time.perf_counter() - started, 1e-9)

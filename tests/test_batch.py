@@ -3,7 +3,6 @@ import io
 import random
 import weakref
 from decimal import Decimal
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rawfilter import batch
 from rawfilter.batch import (
     CorpusIndex,
-    _segment_conj_vector,
+    _start_keys,
     build_scan_index,
     drop_last_record,
     evaluate_config_batch,
@@ -69,21 +68,35 @@ def test_masks_levels_and_spans_match_reference(seed):
     assert expected == [(s.start, s.end, s.malformed) for s in index.spans()]
 
 
+def _partition(labels) -> set:
+    """The classes of equal labels, as sets of sample indexes."""
+    classes: dict = {}
+    for i, label in enumerate(labels):
+        classes.setdefault(label, set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_attribution_matches_reference_events(seed):
-    data = fuzz_stream(seed)
+    # Scope and segment ids are rows of the start tables, not the reference's
+    # numbers: they must split the positions into the same classes as the
+    # reference's (record, scope_id) and (record, scope_id, segment).
+    data = malformed_stream(seed) + fuzz_stream(seed)
     index = build_scan_index(data)
-    events = reference_arrays(data)
+    attribution = {}  # position -> (record, scope_id, segment), each record scanned afresh
+    for rec, span in enumerate(segment_records(data)):
+        for ev in iter_events(span.slice(data)):
+            attribution[span.start + ev.offset] = (rec, ev.scope_id, ev.segment)
     rng = random.Random(seed)
     # Brackets and commas are where level, scope and segment change.
-    structural = [e.offset for e in events if not e.in_string and e.byte in b"{}[],"]
+    structural = [e.offset for e in reference_arrays(data) if not e.in_string and e.byte in b"{}[],"]
     sampled = rng.sample(range(len(data)), min(2000, len(data))) + rng.sample(structural, 500)
-    inside = index.record_start_of(np.asarray(sampled)) >= 0
-    positions = sorted({p for p, ok in zip(sampled, inside) if ok})
-    rec, scope, segment = index.attribute_many(np.asarray(positions))
-    for p, sc, seg in zip(positions, scope, segment):
-        assert events[p].scope_id == sc, p
-        assert events[p].segment == seg, p
+    positions = sorted({p for p in sampled if p in attribution})
+    scope_rows = index.start_rows(Mode.SCOPED, np.asarray(positions))
+    segment_rows = index.start_rows(Mode.KEYVALUE, np.asarray(positions))
+    expected = [attribution[p] for p in positions]
+    assert _partition(scope_rows.tolist()) == _partition(e[:2] for e in expected)
+    assert _partition(segment_rows.tolist()) == _partition(expected)
 
 
 def assert_index_matches_reference(data: bytes):
@@ -96,11 +109,8 @@ def assert_index_matches_reference(data: bytes):
     assert expected == [(s.start, s.end, s.malformed) for s in index.spans()], data
     opens = [e.offset for e in events if not e.in_string and e.byte in b"{["]
     assert index.open_pos.tolist() == opens, data
-    commas = {}
-    for e in events:
-        if e.structural_comma:
-            commas.setdefault(e.level, []).append(e.offset)
-    assert {lvl: pos.tolist() for lvl, pos in index.commas_by_level.items()} == commas, data
+    commas = [(e.offset, e.level) for e in events if e.structural_comma]
+    assert list(zip(index.commas.tolist(), index.comma_level.tolist())) == commas, data
 
 
 STRUCTURAL_BYTES = b'{}[]",\\:ab0 \n'
@@ -367,8 +377,7 @@ def test_position_tables_are_int64():
     # checking the dtypes on a small input needs no 2 GiB allocation.
     index = build_scan_index(fuzz_stream(13, 40))
     tables = {"rec_starts": index.rec_starts, "rec_ends": index.rec_ends, "open_pos": index.open_pos}
-    tables.update((f"opens_by_level[{k}]", v) for k, v in index.opens_by_level.items())
-    tables.update((f"commas_by_level[{k}]", v) for k, v in index.commas_by_level.items())
+    tables.update(scope_starts=index.start_table(Mode.SCOPED), segment_starts=index.start_table(Mode.KEYVALUE))
     starts, ends, last_digit, heuristic = index.numeric_tokens()
     tables.update(token_starts=starts, token_ends=ends, token_last_digit=last_digit)
     for block in (1, 2, "N"):
@@ -380,10 +389,23 @@ def test_position_tables_are_int64():
     assert heuristic.dtype == bool
 
 
-def test_segment_keys_refuse_to_overflow_int64():
-    huge = SimpleNamespace(fire_scopes=(np.asarray([1 << 32, 2 << 32]), np.asarray([0, 1 << 62])))
+def test_start_keys_refuse_to_overflow_int64():
+    # level * (n + 1) + position: n bytes nested n deep need n * n < 2**63.
+    n = 1 << 32
+    assert _start_keys(np.asarray([1 << 30]), np.asarray([n - 1]), n).tolist() == [(1 << 30) * (n + 1) + n - 1]
     with pytest.raises(OverflowError):
-        _segment_conj_vector(3, huge, huge)
+        _start_keys(np.asarray([0, 1 << 31]), np.asarray([0, 0]), n)
+
+
+def test_scoped_plan_builds_no_segment_table():
+    ast = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
+    corpus = CorpusIndex(fuzz_stream(15))
+    scoped = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.FLAT, 2)))
+    evaluate_config_batch(corpus, ast, scoped)
+    assert list(corpus.index._starts) == [Mode.SCOPED]
+    keyvalue = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, 2)))
+    evaluate_config_batch(corpus, ast, keyvalue)
+    assert list(corpus.index._starts) == [Mode.SCOPED, Mode.KEYVALUE]
 
 
 def test_chunked_iteration_recovers_all_records():
