@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .batch import (
     CorpusIndex,
-    build_scan_index,
     evaluate_config_batch,
     iter_chunk_indexes,
     primitive_fire_counts,
@@ -137,22 +136,25 @@ _WRITE_RECORDS = 1024  # accepted records joined into one write
 
 
 def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 << 22) -> dict:
+    """Filter `source` one record-aligned chunk at a time; accepted records
+    go to `out`. Only `workers=1` is accepted: there is one driver."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     records_in = records_out = bytes_in = malformed = chunks = largest = 0
     fires: dict[str, int] = {}
     started = time.perf_counter()
-    if workers > 1:
-        results = _parallel_accept(source.read(), ast, cfg, workers)
-    else:
-        results = _serial_accept(source, ast, cfg, chunk_bytes)
-    for buffer, starts, ends, n_malformed, accepts, chunk_fires in results:
+    for index, buffer in iter_chunk_indexes(source, chunk_bytes):
+        corpus = CorpusIndex(buffer, index)
+        accepts = evaluate_config_batch(corpus, ast, cfg)
+        for key, count in primitive_fire_counts(corpus, ast, cfg).items():
+            fires[key] = fires.get(key, 0) + count
+        starts, ends = index.rec_starts, index.rec_ends
         chunks += 1
         if len(starts):
             largest = max(largest, int((ends - starts).max()))
         records_in += len(starts)
         bytes_in += len(buffer)
-        malformed += n_malformed
-        for key, count in chunk_fires.items():
-            fires[key] = fires.get(key, 0) + count
+        malformed += int(index.rec_malformed.sum())
         starts, ends = starts[accepts].tolist(), ends[accepts].tolist()
         records_out += len(starts)
         # One write per slice of records: a chunk's output is copied a slice at a time.
@@ -176,65 +178,11 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
     }
 
 
-def _serial_accept(source, ast, cfg, chunk_bytes):
-    for index, buffer in iter_chunk_indexes(source, chunk_bytes):
-        corpus = CorpusIndex(buffer, index)
-        accepts = evaluate_config_batch(corpus, ast, cfg)
-        yield (
-            buffer,
-            index.rec_starts,
-            index.rec_ends,
-            int(index.rec_malformed.sum()),
-            accepts,
-            primitive_fire_counts(corpus, ast, cfg),
-        )
-
-
-def _accept_slice(payload):
-    data, query_text, config_text = payload
-    ast = parse_query(query_text)
-    cfg = parse_config(config_text, ast)
-    corpus = CorpusIndex(data)
-    accepts = evaluate_config_batch(corpus, ast, cfg)
-    index = corpus.index
-    return (
-        index.rec_starts,
-        index.rec_ends,
-        int(index.rec_malformed.sum()),
-        accepts,
-        primitive_fire_counts(corpus, ast, cfg),
-    )
-
-
-def _parallel_accept(data, ast, cfg, workers):
-    import multiprocessing
-
-    index = build_scan_index(data)
-    n = index.n_records
-    if n == 0:
-        return
-    per = max(1, (n + workers - 1) // workers)
-    groups = [(i, min(i + per, n)) for i in range(0, n, per)]
-    query_text = ast.notation()
-    config_text = serialize_config(ast, cfg)
-    payloads = []
-    for lo, hi in groups:
-        start = int(index.rec_starts[lo])
-        end = int(index.rec_ends[hi - 1])
-        payloads.append((data[start:end], query_text, config_text))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(payloads))) as pool:
-        for payload, (starts, ends, n_malformed, accepts, fires) in zip(
-            payloads, pool.map(_accept_slice, payloads)
-        ):
-            yield payload[0], starts, ends, n_malformed, accepts, fires
-
-
 def cmd_run(args) -> int:
     ast, cfg = parse_descriptor(_read_text(args.filter))
     source = sys.stdin.buffer if args.dataset == "-" else open(args.dataset, "rb")
     try:
-        stats = _run_stream(ast, cfg, source, sys.stdout.buffer, workers=args.workers)
+        stats = _run_stream(ast, cfg, source, sys.stdout.buffer)
     finally:
         if source is not sys.stdin.buffer:
             source.close()
@@ -273,13 +221,10 @@ def cmd_eval(args) -> int:
 def cmd_explore(args) -> int:
     query_text = " ".join(_read_text(args.query).split())
     ast = parse_query(query_text)
-    corpus = CorpusIndex(_read_dataset(args.dataset))
-    modes = tuple(Mode(m) for m in args.modes.split(","))
-    blocks = tuple(int(b) if b != "N" else "N" for b in args.blocks.split(","))
     options = ExplorerOptions(
-        modes=modes, blocks=blocks, cap=args.cap, sample=args.sample, seed=args.seed
+        modes=args.modes, blocks=args.blocks, cap=args.cap, sample=args.sample, seed=args.seed
     )
-    reports, front = explore(ast, corpus, options, _cost_model(args))
+    reports, front = explore(ast, _read_dataset(args.dataset), options, _cost_model(args))
     out = Path(args.out)
     out.write_text(reports_to_csv(reports, include_timings=args.timings))
     pareto_path = Path(args.pareto_out) if args.pareto_out else out.with_name(out.stem + "_pareto.csv")
@@ -339,15 +284,6 @@ def cmd_bench(args) -> int:
             result["linear_scaling"] = bool(1.6 <= ratio <= 2.6)
         else:
             result["linear_scaling"] = None  # input too small to assert
-    if args.workers_sweep:
-        sweeps = {}
-        for w in (1, 2, 4):
-            stats = _run_stream(ast, cfg, io.BytesIO(data), io.BytesIO(), workers=w)
-            sweeps[str(w)] = stats["throughput_mb_s"]
-        result["workers_mb_s"] = sweeps
-        rates = [sweeps[k] for k in ("1", "2", "4")]
-        if not all(b >= a * 0.8 for a, b in zip(rates, rates[1:])):
-            print("warning: throughput not non-decreasing across workers", file=sys.stderr)
     print(json.dumps(result, sort_keys=True))
     if args.scale_check and result.get("linear_scaling") is False:
         print("warning: scaling ratio outside [1.6, 2.6]", file=sys.stderr)
@@ -355,6 +291,33 @@ def cmd_bench(args) -> int:
 
 
 # --- argument parsing --------------------------------------------------------------
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _mode_list(text: str) -> tuple:
+    try:
+        return tuple(Mode(m) for m in text.split(","))
+    except ValueError:
+        known = ",".join(m.value for m in Mode)
+        raise argparse.ArgumentTypeError(f"unknown mode in {text!r}; modes are {known}") from None
+
+
+def _block_list(text: str) -> tuple:
+    return tuple("N" if b == "N" else _at_least(1)(b) for b in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="filter a dataset; accepted records to stdout")
     p.add_argument("--filter", required=True, help="descriptor from 'compile'")
     p.add_argument("--dataset", required=True, help="path or - for stdin")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="confusion matrix and FPR against the oracle")
@@ -387,10 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", default="reports.csv")
     p.add_argument("--pareto-out")
-    p.add_argument("--modes", default="OMIT,VALUE_ONLY,FLAT,SCOPED")
-    p.add_argument("--blocks", default="1,2,N")
+    p.add_argument("--modes", type=_mode_list, default="OMIT,VALUE_ONLY,FLAT,SCOPED")
+    p.add_argument("--blocks", type=_block_list, default="1,2,N")
     p.add_argument("--cap", type=int, default=10**6)
-    p.add_argument("--sample", type=int, default=None, help="evaluate on a seeded record subset")
+    p.add_argument("--sample", type=_at_least(0), default=None, help="evaluate on a seeded record subset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true", help="real wall_ms column (non-reproducible)")
     p.add_argument("--cost-weights")
@@ -406,9 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure end-to-end throughput")
     p.add_argument("--filter", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=_at_least(1), default=3)
     p.add_argument("--scale-check", action="store_true")
-    p.add_argument("--workers-sweep", action="store_true")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -201,31 +201,21 @@ class EvalReport:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def _label_arrays(labels: DatasetLabels) -> tuple[np.ndarray, np.ndarray]:
-    n = len(labels.labels)
-    match = np.fromiter((lab.exact_match for lab in labels.labels), dtype=bool, count=n)
-    parse_ok = np.fromiter((lab.parse_ok for lab in labels.labels), dtype=bool, count=n)
-    return match, parse_ok
-
-
 def evaluate_config(
     ast: QueryAst,
     cfg: FilterConfig,
-    corpus: CorpusIndex | bytes,
+    corpus: CorpusIndex,
     labels: DatasetLabels | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
-    _arrays: tuple | None = None,
 ) -> EvalReport:
     """Run one configuration over a labeled corpus.
 
     A false negative on a well-formed record is a soundness bug and raises
     instead of being reported.
     """
-    if not isinstance(corpus, CorpusIndex):
-        corpus = CorpusIndex(corpus)
     if labels is None:
         labels = label_dataset(ast, corpus.records())
-    match, parse_ok = _arrays if _arrays is not None else _label_arrays(labels)
+    match, parse_ok = labels.exact_match, labels.parse_ok
     start = time.perf_counter()
     plan = validate_config(ast, cfg)
     accepts = accept_vector(corpus, plan)
@@ -246,18 +236,15 @@ def evaluate_config(
 def evaluate_all(
     ast: QueryAst,
     configs: list[FilterConfig],
-    corpus: CorpusIndex | bytes,
+    corpus: CorpusIndex,
     labels: DatasetLabels | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> list[EvalReport]:
-    if not isinstance(corpus, CorpusIndex):
-        corpus = CorpusIndex(corpus)
     if labels is None:
         labels = label_dataset(ast, corpus.records())
-    arrays = _label_arrays(labels)
     reports = []
     for i, cfg in enumerate(configs):
-        report = evaluate_config(ast, cfg, corpus, labels, model, _arrays=arrays)
+        report = evaluate_config(ast, cfg, corpus, labels, model)
         report.config_id = i
         reports.append(report)
     return reports
@@ -302,14 +289,12 @@ def _sampled_corpus(corpus: CorpusIndex, options: ExplorerOptions) -> CorpusInde
 
 def explore(
     ast: QueryAst,
-    corpus: CorpusIndex | bytes,
+    data: bytes,
     options: ExplorerOptions = ExplorerOptions(),
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> tuple[list[EvalReport], list[EvalReport]]:
     """Enumerate, evaluate and extract the front. Returns (reports, front)."""
-    if not isinstance(corpus, CorpusIndex):
-        corpus = CorpusIndex(corpus)
-    corpus = _sampled_corpus(corpus, options)
+    corpus = _sampled_corpus(CorpusIndex(data), options)
     configs = enumerate_configs(ast, options)
     labels = label_dataset(ast, corpus.records())
     reports = evaluate_all(ast, configs, corpus, labels, model)

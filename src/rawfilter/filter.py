@@ -1,4 +1,4 @@
-"""Compilation of queries into raw-filter trees and record evaluation.
+"""Compilation of queries into raw-filter plans and record evaluation.
 
 Each query predicate becomes, per configuration, one of
 
@@ -61,7 +61,7 @@ class FilterConfig:
     predicates: tuple
 
 
-# --- compiled filter tree ---------------------------------------------------
+# --- compiled filter --------------------------------------------------------
 
 
 class Leaf:
@@ -86,55 +86,15 @@ class Leaf:
         self.fires_by_scope.clear()
         self.fires_by_segment.clear()
 
-    def truth(self) -> bool:
-        return self.latched
-
-
-@dataclass
-class AndNode:
-    children: list
-
-    def truth(self) -> bool:
-        return all(c.truth() for c in self.children)
-
-
-@dataclass
-class OrNode:
-    children: list
-
-    def truth(self) -> bool:
-        return any(c.truth() for c in self.children)
-
-
-@dataclass
-class ScopeConj:
-    """True when one scope holds fires of both the string and the range leaf."""
-
-    children: list  # [string leaf, range leaf]
-
-    def truth(self) -> bool:
-        string, value = self.children
-        return not string.fires_by_scope.keys().isdisjoint(value.fires_by_scope)
-
-
-@dataclass
-class SegmentConj:
-    """True when one (scope, comma segment) holds fires of both leaves."""
-
-    children: list  # [string leaf, range leaf]
-
-    def truth(self) -> bool:
-        string, value = self.children
-        return not string.fires_by_segment.keys().isdisjoint(value.fires_by_segment)
-
 
 @dataclass
 class RawFilterExpr:
-    """Compiled filter: evaluation tree, its flat leaves, and its plan."""
+    """Compiled filter: its plan, one (string leaf or None, range leaf) pair
+    per plan leaf, and the pairs' leaves flattened in that order."""
 
-    root: object
     leaves: list
     plan: Plan
+    pairs: list
 
     def notation(self) -> str:
         return plan_notation(self.plan)
@@ -227,29 +187,44 @@ def plan_notation(plan: Plan) -> str:
 
 # --- compilation -------------------------------------------------------------
 
-_PAIR_NODES = {Mode.FLAT: AndNode, Mode.SCOPED: ScopeConj, Mode.KEYVALUE: SegmentConj}
-
 
 def compile_filter(ast: QueryAst, cfg: FilterConfig) -> RawFilterExpr:
     plan = validate_config(ast, cfg)
-    leaves: list[Leaf] = []
-
-    def build(node):
-        if isinstance(node, PlanLeaf):
-            range_leaf = Leaf(RangeMatcher(build_range_dfa(node.pred.bound)), "range")
-            if node.mode is Mode.VALUE_ONLY:
-                leaves.append(range_leaf)
-                return range_leaf
+    pairs = []
+    for node in plan_leaves(plan):
+        range_leaf = Leaf(RangeMatcher(build_range_dfa(node.pred.bound)), "range")
+        string_leaf = None
+        if node.mode is not Mode.VALUE_ONLY:
             string_leaf = Leaf(make_string_matcher(node.pred.attr, node.block), "string")
-            leaves.extend((string_leaf, range_leaf))
-            return _PAIR_NODES[node.mode]([string_leaf, range_leaf])
-        children = [build(c) for c in node.children]
-        return AndNode(children) if isinstance(node, PlanAnd) else OrNode(children)
-
-    return RawFilterExpr(build(plan), leaves, plan)
+        pairs.append((string_leaf, range_leaf))
+    leaves = [leaf for pair in pairs for leaf in pair if leaf is not None]
+    return RawFilterExpr(leaves, plan, pairs)
 
 
 # --- evaluation ---------------------------------------------------------------
+
+
+def _pair_truth(mode: Mode, string: Leaf | None, value: Leaf) -> bool:
+    if mode is Mode.VALUE_ONLY:
+        return value.latched
+    if mode is Mode.FLAT:
+        return string.latched and value.latched
+    if mode is Mode.SCOPED:
+        return not string.fires_by_scope.keys().isdisjoint(value.fires_by_scope)
+    return not string.fires_by_segment.keys().isdisjoint(value.fires_by_segment)
+
+
+def _plan_truth(expr: RawFilterExpr) -> bool:
+    pairs = iter(expr.pairs)  # in plan-leaf order
+
+    def walk(node) -> bool:
+        if isinstance(node, PlanLeaf):
+            return _pair_truth(node.mode, *next(pairs))
+        # no short-circuit: every child consumes its own leaves' pairs
+        children = [walk(c) for c in node.children]
+        return all(children) if isinstance(node, PlanAnd) else any(children)
+
+    return walk(expr.plan)
 
 
 def filter_record(expr: RawFilterExpr, record: bytes, events=None) -> bool:
@@ -270,7 +245,7 @@ def filter_record(expr: RawFilterExpr, record: bytes, events=None) -> bool:
     for leaf in leaves:
         if leaf.kind == "range" and leaf.primitive.flush():
             leaf.record_fire(end, leaf.primitive.fire_scope, leaf.primitive.fire_segment)
-    return expr.root.truth()
+    return _plan_truth(expr)
 
 
 def reset_filter(expr: RawFilterExpr) -> None:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
+
+import numpy as np
 
 from .query import And, Or, Predicate, QueryAst
 
@@ -122,14 +124,24 @@ class MatchLabel:
 
 @dataclass
 class DatasetLabels:
+    """Per-record labels, plus their `exact_match` and `parse_ok` flags as
+    bool arrays (built once, read by every configuration's evaluation)."""
+
     labels: list
     selectivity: float
     empty: bool = False
     malformed_count: int = 0
+    exact_match: np.ndarray = field(init=False, repr=False, compare=False)
+    parse_ok: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.labels)
+        self.exact_match = np.fromiter((lab.exact_match for lab in self.labels), dtype=bool, count=n)
+        self.parse_ok = np.fromiter((lab.parse_ok for lab in self.labels), dtype=bool, count=n)
 
     @property
     def matches(self) -> int:
-        return sum(1 for lab in self.labels if lab.exact_match)
+        return int(np.count_nonzero(self.exact_match))
 
 
 def label_dataset(query: QueryAst, records) -> DatasetLabels:

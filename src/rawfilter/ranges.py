@@ -389,6 +389,11 @@ def number_step(state: NumberScanState, dfa: RangeDfa, event) -> bool:
             state.token_segment = event.segment
         state.dfa_state = int(dfa.table[state.dfa_state, b])
         return False
+    return _end_token(state, dfa)
+
+
+def _end_token(state: NumberScanState, dfa: RangeDfa) -> bool:
+    """Close the pending token: its verdict, then the token flags cleared."""
     fired = False
     if state.in_token and state.saw_digit:
         fired = bool(dfa.accept_mask[state.dfa_state]) or state.saw_exponent_after_digit
@@ -414,23 +419,12 @@ class RangeMatcher:
 
     def flush(self) -> bool:
         """End-of-record: evaluate a pending token as if delimited."""
-        state = self.state
-        fired = False
-        if state.in_token and state.saw_digit:
-            fired = bool(self.dfa.accept_mask[state.dfa_state]) or state.saw_exponent_after_digit
-            self.latched |= fired
-        self._clear_token()
+        fired = _end_token(self.state, self.dfa)
+        self.latched |= fired
         return fired
 
-    def _clear_token(self) -> None:
-        s = self.state
-        s.dfa_state = 0
-        s.in_token = False
-        s.saw_digit = False
-        s.saw_exponent_after_digit = False
-
     def reset(self) -> None:
-        self._clear_token()
+        _end_token(self.state, self.dfa)
         self.latched = False
 
     @property

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from rawfilter.cli import main, parse_descriptor, render_descriptor
+from rawfilter.cli import _run_stream, main, parse_descriptor, render_descriptor
 from rawfilter.explorer import DEFAULT_COST_MODEL
 from rawfilter.filter import parse_config
 from rawfilter.query import parse_query
@@ -135,15 +135,10 @@ class TestRun:
         stats = json.loads(captured.err.splitlines()[-1])
         assert stats["records_in"] == stats["records_out"] == 400
 
-    def test_workers_give_identical_output(self, ws, tmp_path, capfdbinary):
-        assert run_cli("gen", "--spec", ws / "gen.spec", "--out", tmp_path / "c.ndjson") == 0
-        capfdbinary.readouterr()
-        scoped = self.make_descriptor(ws, "scoped")
-        run_cli("run", "--filter", scoped, "--dataset", tmp_path / "c.ndjson")
-        serial = capfdbinary.readouterr().out
-        run_cli("run", "--filter", scoped, "--dataset", tmp_path / "c.ndjson", "--workers", "2")
-        parallel = capfdbinary.readouterr().out
-        assert serial == parallel
+    def test_run_stream_accepts_only_one_worker(self, ws):
+        ast, cfg = parse_descriptor(self.make_descriptor(ws, "scoped").read_text())
+        with pytest.raises(ValueError):
+            _run_stream(ast, cfg, io.BytesIO(LISTING_RECORD + b"\n"), io.BytesIO(), workers=2)
 
 
 class TestEval:
@@ -200,6 +195,29 @@ class TestExplore:
             "--out", tmp_path / "r.csv", "--cap", "5",
         )
         assert rc == 5
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("explore", "--modes", "FLAT,BOGUS"),
+        ("explore", "--blocks", "1,x"),
+        ("explore", "--sample", "-1"),
+        ("bench", "--repetitions", "0"),
+    ],
+)
+def test_bad_option_value_exits_2(ws, capsys, command, option, value):
+    if command == "explore":
+        argv = ["explore", "--query", ws / "q0.txt", "--dataset", ws / "data.ndjson", "--out", ws / "r.csv"]
+    else:
+        desc = ws / "f.desc"
+        assert run_cli("compile", "--query", ws / "q0.txt", "--config", ws / "scoped.cfg", "--out", desc) == 0
+        argv = ["bench", "--filter", desc, "--dataset", ws / "data.ndjson"]
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*argv, option, value)
+    assert exited.value.code == 2
+    assert f"error: argument {option}:" in capsys.readouterr().err
+    assert not (ws / "r.csv").exists()
 
 
 class TestGen:

@@ -56,3 +56,31 @@ def test_every_top_level_name_in_the_package_is_referenced():
         if all(where == path and first <= line <= last for where, line in references.get(name, ()))
     ]
     assert not dead, dead
+
+
+def test_every_imported_name_in_the_package_is_read():
+    """A name a module imports must be read in that module; `__init__.py`
+    is exempt, since it imports to re-export."""
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # bound name -> line
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".", 1)[0]
+                    if bound not in ("*", "annotations"):
+                        imported[bound] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        unused += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items()
+            if name not in read
+        ]
+    assert not unused, unused

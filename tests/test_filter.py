@@ -4,12 +4,10 @@ import pytest
 
 from rawfilter.errors import ConfigError
 from rawfilter.filter import (
-    AndNode,
     FilterConfig,
     Mode,
+    PlanLeaf,
     PredicateConfig,
-    ScopeConj,
-    SegmentConj,
     accepts,
     compile_filter,
     filter_record,
@@ -32,11 +30,13 @@ def cfg_of(*pairs):
 
 class TestCompile:
     def test_modes_map_to_node_shapes(self):
-        assert isinstance(compile_filter(Q0, cfg_of(("FLAT", 1))).root, AndNode)
-        assert isinstance(compile_filter(Q0, cfg_of(("SCOPED", 1))).root, ScopeConj)
-        assert isinstance(compile_filter(Q0, cfg_of(("KEYVALUE", 1))).root, SegmentConj)
+        for mode in ("FLAT", "SCOPED", "KEYVALUE"):
+            expr = compile_filter(Q0, cfg_of((mode, 1)))
+            assert expr.plan == PlanLeaf(Q0, Mode(mode), 1)
+            assert [leaf.kind for leaf in expr.leaves] == ["string", "range"]
         value_only = compile_filter(Q0, cfg_of(("VALUE_ONLY", None)))
-        assert value_only.root.kind == "range"
+        assert value_only.plan == PlanLeaf(Q0, Mode.VALUE_ONLY, None)
+        assert [leaf.kind for leaf in value_only.leaves] == ["range"]
 
     def test_scoped_notation_matches_report_style(self):
         expr = compile_filter(Q0, cfg_of(("SCOPED", 1)))
@@ -45,8 +45,8 @@ class TestCompile:
     def test_omit_drops_leaf_from_and(self):
         ast = parse_query('(1 <= "aa" <= 2) AND (3 <= "bb" <= 4)')
         expr = compile_filter(ast, cfg_of(("OMIT", None), ("VALUE_ONLY", None)))
-        assert expr.root.kind == "range"
-        assert len(expr.leaves) == 1
+        assert expr.plan == PlanLeaf(ast.children[1], Mode.VALUE_ONLY, None)
+        assert [leaf.kind for leaf in expr.leaves] == ["range"]
 
     def test_omitting_every_predicate_fails(self):
         ast = parse_query('(1 <= "aa" <= 2) AND (3 <= "bb" <= 4)')
@@ -168,6 +168,15 @@ def test_or_query_accepts_when_one_branch_fires():
     assert accepts(expr, b'{"v":"12","n":"temperature"}') is True
     assert accepts(expr, b'{"v":"1500","n":"light"}') is True
     assert accepts(expr, b'{"v":"99","n":"humidity"}') is False
+
+
+def test_true_or_branch_does_not_hand_its_sibling_pair_to_the_next_predicate():
+    # "aa" holds, "bb" does not: the OR is true without "bb", and "cc" must
+    # still be judged by its own primitives, not by the pair of "bb"
+    ast = parse_query('((1 <= "aa" <= 2) OR (3 <= "bb" <= 4)) AND (5 <= "cc" <= 6)')
+    expr = compile_filter(ast, cfg_of(("SCOPED", 1), ("SCOPED", 1), ("SCOPED", 1)))
+    assert accepts(expr, b'{"aa":1,"cc":5}') is True
+    assert accepts(expr, b'{"aa":1,"cc":9}') is False
 
 
 class TestConfigText:
