@@ -496,16 +496,22 @@ class CorpusIndex:
 # --- config evaluation over a corpus -------------------------------------------
 
 
+def plan_accepts(plan: Plan, leaf) -> np.ndarray:
+    """AND/OR of per-leaf accept arrays over a plan. ``leaf`` returns a fresh,
+    writable array per plan leaf and is called in plan-leaf order; bool
+    vectors and packed bit matrices combine alike."""
+    if isinstance(plan, PlanLeaf):
+        return leaf(plan)
+    combine = np.bitwise_and if isinstance(plan, PlanAnd) else np.bitwise_or
+    out = plan_accepts(plan.children[0], leaf)
+    for child in plan.children[1:]:
+        combine(out, plan_accepts(child, leaf), out=out)
+    return out
+
+
 def accept_vector(corpus: CorpusIndex, plan: Plan) -> np.ndarray:
     """Fresh accept vector of a plan from `filter.validate_config`."""
-    if isinstance(plan, PlanLeaf):
-        return corpus.predicate_vector(plan).copy()
-    parts = [accept_vector(corpus, child) for child in plan.children]
-    combine = np.logical_and if isinstance(plan, PlanAnd) else np.logical_or
-    out = parts[0]
-    for part in parts[1:]:
-        combine(out, part, out=out)
-    return out
+    return plan_accepts(plan, lambda leaf: corpus.predicate_vector(leaf).copy())
 
 
 def evaluate_config_batch(corpus: CorpusIndex, ast: QueryAst, cfg) -> np.ndarray:

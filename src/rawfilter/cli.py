@@ -354,7 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--sample", type=_at_least(0), default=None, help="evaluate on a seeded record subset")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timings", action="store_true", help="real wall_ms column (non-reproducible)")
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="real wall_ms column (non-reproducible): configurations are evaluated in slices, "
+        "and each gets its slice's time divided by the slice's configuration count",
+    )
     p.add_argument("--cost-weights")
     p.set_defaults(func=cmd_explore)
 

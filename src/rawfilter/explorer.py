@@ -8,14 +8,18 @@ weights; it is a relative measure for ranking configurations, not a
 synthesis estimate.
 
 Each configuration becomes one plan (`filter.validate_config`) that gives
-its accept vector, notation and cost. Enumeration validates one configuration
-per omission pattern: once blocks are resolved, nothing else decides validity.
+its accept vector, notation and cost. Once blocks are resolved, only the
+omission pattern decides validity and the plan's shape, so enumeration and
+`evaluate_all` validate one shape per pattern.
 
 Every configuration is evaluated over one shared `CorpusIndex`, which caches
 primitive fires and each predicate's accept vector per (mode, block): a
-sweep scans and conjoins each primitive once, then only ANDs and ORs cached
-vectors per configuration. With timings on, the first configuration to use
-a predicate therefore carries that predicate's build time in its wall_ms.
+sweep scans and conjoins each primitive once. `evaluate_all` then walks each
+plan shape once per slice of its configurations, over packed (configs x
+words) accept matrices, and counts tp/fp by popcount. With timings on, a
+report's wall_ms is its slice's evaluation time divided by the slice's
+configuration count; the first slice also carries the build of every
+predicate's accept vector.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .batch import CorpusIndex, accept_vector
+from .batch import CorpusIndex, accept_vector, plan_accepts
 from .errors import CapExceededError, ConfigError, FalseNegativeError
 from .filter import (
     FilterConfig,
@@ -38,11 +42,13 @@ from .filter import (
     Plan,
     PlanLeaf,
     PredicateConfig,
+    leaf_notation,
+    plan_leaf,
     plan_notation,
     validate_config,
 )
 from .oracle import DatasetLabels, label_dataset
-from .query import QueryAst
+from .query import Predicate, QueryAst
 from .ranges import NumericBound, build_range_dfa
 from .strings import build_substring_set, resolve_block_len
 
@@ -107,18 +113,34 @@ def range_cost(bound: NumericBound, model: CostModel = DEFAULT_COST_MODEL) -> fl
     return model.dfa_cell * dfa.state_count * dfa.input_classes
 
 
-def plan_cost(plan: Plan, model: CostModel = DEFAULT_COST_MODEL) -> float:
-    """Proxy cost of a plan: its primitives, one combinator per AND/OR node
-    (two for a scoped or key-value pair), and the scanner."""
+def leaf_cost(leaf: PlanLeaf, model: CostModel = DEFAULT_COST_MODEL) -> float:
+    """Proxy cost of one plan leaf: its primitives and its pair's combinator
+    (two for a scoped or key-value pair)."""
+    cost = range_cost(leaf.pred.bound, model)
+    if leaf.mode is Mode.VALUE_ONLY:
+        return cost
+    cost += string_cost(leaf.pred.attr, leaf.block, model)
+    return cost + (model.combinator if leaf.mode is Mode.FLAT else 2 * model.combinator)
 
-    def walk(node) -> float:
+
+def plan_cost(plan: Plan, model: CostModel = DEFAULT_COST_MODEL, leaf=None) -> float:
+    """Proxy cost of a plan: its leaves, one combinator per AND/OR node, and
+    the scanner.
+
+    ``leaf`` costs each plan leaf (default `leaf_cost`) and is called in
+    plan-leaf order; it may return arrays, which add elementwise in the same
+    order, so a sweep costs a whole group of configurations in one walk.
+    """
+    if leaf is None:
+        leaf = functools.partial(leaf_cost, model=model)
+
+    def walk(node):
         if isinstance(node, PlanLeaf):
-            cost = range_cost(node.pred.bound, model)
-            if node.mode is Mode.VALUE_ONLY:
-                return cost
-            cost += string_cost(node.pred.attr, node.block, model)
-            return cost + (model.combinator if node.mode is Mode.FLAT else 2 * model.combinator)
-        return sum(walk(c) for c in node.children) + model.combinator
+            return leaf(node)
+        total = 0
+        for child in node.children:
+            total = total + walk(child)
+        return total + model.combinator
 
     return walk(plan) + model.scanner
 
@@ -147,6 +169,19 @@ class ExplorerOptions:
     seed: int = 0
 
 
+def _shape(ast: QueryAst, omitted: tuple) -> Plan | None:
+    """Plan shape of an omission pattern, None when the pattern is invalid.
+
+    Its leaves stand in for whichever choice a configuration makes; only
+    their positions, the kept query leaves in order, are read.
+    """
+    probe = tuple(PredicateConfig(Mode.OMIT if o else Mode.VALUE_ONLY) for o in omitted)
+    try:
+        return validate_config(ast, FilterConfig(probe))
+    except ConfigError:
+        return None
+
+
 def enumerate_configs(ast: QueryAst, options: ExplorerOptions = ExplorerOptions()) -> list[FilterConfig]:
     """All valid configurations, in a deterministic order."""
     per_leaf: list[list[PredicateConfig]] = []
@@ -159,17 +194,13 @@ def enumerate_configs(ast: QueryAst, options: ExplorerOptions = ExplorerOptions(
         ])
 
     # Blocks are resolved above, so validity depends only on which leaves
-    # are omitted: validate one configuration per omission pattern.
+    # are omitted: validate one plan shape per omission pattern.
     omits = [[pc.mode is Mode.OMIT for pc in choices] for choices in per_leaf]
     valid: dict[tuple, bool] = {}
     configs = []
     for combo, omitted in zip(itertools.product(*per_leaf), itertools.product(*omits)):
         if omitted not in valid:
-            try:
-                validate_config(ast, FilterConfig(combo))
-                valid[omitted] = True
-            except ConfigError:
-                valid[omitted] = False
+            valid[omitted] = _shape(ast, omitted) is not None
         if valid[omitted]:
             configs.append(FilterConfig(combo))
             if len(configs) > options.cap:
@@ -233,6 +264,74 @@ def evaluate_config(
     return EvalReport(cfg, plan_notation(plan), tp, fp, tn, fn, plan_cost(plan, model), wall)
 
 
+# Bytes of one (configurations x words) packed accept matrix: a group is
+# evaluated in slices of this size, so memory follows the corpus and not the
+# number of configurations.
+_SLICE_BYTES = 1 << 20
+_SLOT = "\0"  # a kept leaf's place in a shape's notation template
+
+
+def _packed(vector: np.ndarray) -> np.ndarray:
+    """A bool vector as zero-padded uint64 words of `np.packbits` bytes."""
+    out = np.zeros(-(-len(vector) // 64) * 8, dtype=np.uint8)
+    packed = np.packbits(vector)
+    out[: len(packed)] = packed
+    return out.view(np.uint64)
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a packed matrix."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def _choice(ids: dict, leaves: list, pred: Predicate, pc: PredicateConfig) -> int:
+    """One leaf's choice row for ``pc``, resolved on first sight; -1 for OMIT."""
+    row = ids.get(pc)
+    if row is None:
+        row = -1
+        if pc.mode is not Mode.OMIT:
+            leaves.append(plan_leaf(pred, pc))
+            row = len(leaves) - 1
+        ids[pc] = row
+    return row
+
+
+def _choice_rows(preds: list, configs: list[FilterConfig]) -> tuple[list, np.ndarray]:
+    """Resolve each distinct (leaf, choice) of a configuration list once.
+
+    Returns each leaf's resolved plan leaves, and the row of them that every
+    configuration picks per leaf (-1 for OMIT) as a (configurations x leaves)
+    array. It stops before the first configuration whose entry count or
+    block is invalid.
+    """
+    choice_ids: list[dict] = [{} for _ in preds]  # per leaf: PredicateConfig -> row
+    choices: list[list[PlanLeaf]] = [[] for _ in preds]
+    picked = []
+    for cfg in configs:
+        if len(cfg.predicates) != len(preds):
+            break
+        row = tuple(map(dict.get, choice_ids, cfg.predicates))
+        if None in row:
+            try:
+                row = tuple(map(_choice, choice_ids, choices, preds, cfg.predicates))
+            except ValueError:  # ConfigError, or a block that is not a number
+                break
+        picked.append(row)
+    return choices, np.array(picked, dtype=np.intp).reshape(len(picked), len(preds))
+
+
+def _gathered(tables: list, kept: list, ids: np.ndarray):
+    """Leaf callback for a plan walk: for the next kept leaf, in plan-leaf
+    order, the rows of its choice table that each configuration picks."""
+    columns = iter(zip(kept, ids.T))
+
+    def leaf(_):
+        k, column = next(columns)
+        return tables[k][column]
+
+    return leaf
+
+
 def evaluate_all(
     ast: QueryAst,
     configs: list[FilterConfig],
@@ -240,13 +339,78 @@ def evaluate_all(
     labels: DatasetLabels | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> list[EvalReport]:
+    """Evaluate configurations by plan shape; the reports, in list order,
+    equal `evaluate_config`'s, and the first failing configuration in list
+    order raises what `evaluate_config` raises on it.
+
+    A group is every configuration with one omission pattern, so one plan
+    shape, validated once. Each distinct (leaf, choice) is resolved once into
+    a packed accept row, a leaf cost and a notation fragment. Each slice of a
+    group, at most `_SLICE_BYTES` per matrix, is one walk of its shape: AND/OR
+    over the rows its configurations pick, tp, accepted and sound-kept records
+    by popcount, costs through `plan_cost` and notations from one template. A
+    report's wall_time is its slice's evaluation time divided by the slice's
+    configuration count; the first slice also carries the build of every
+    predicate's accept vector.
+    """
     if labels is None:
         labels = label_dataset(ast, corpus.records())
-    reports = []
-    for i, cfg in enumerate(configs):
-        report = evaluate_config(ast, cfg, corpus, labels, model)
-        report.config_id = i
-        reports.append(report)
+    choices, ids = _choice_rows(list(ast.leaves()), configs)
+    # One group per omission pattern, its bits packed into one void scalar.
+    packed_omits = np.packbits(ids < 0, axis=1)
+    _, first, group_of = np.unique(
+        packed_omits.view(f"V{packed_omits.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
+    patterns = [tuple((ids[i] < 0).tolist()) for i in first.tolist()]
+    shapes = [_shape(ast, omitted) for omitted in patterns]
+    failing = min([len(ids)] + [i for shape, i in zip(shapes, first.tolist()) if shape is None])
+
+    reports: list = [None] * failing
+    match = _packed(labels.exact_match)
+    sound = _packed(labels.exact_match & labels.parse_ok)
+    n, n_match, n_sound = len(labels.exact_match), labels.matches, int(_popcounts(sound))
+    per_slice = max(1, _SLICE_BYTES // max(1, match.nbytes))
+    start = time.perf_counter()
+    accept_rows = [
+        np.stack([_packed(corpus.predicate_vector(x)) for x in leaves]) if leaves else None
+        for leaves in choices
+    ]
+    costs = [np.array([leaf_cost(x, model) for x in leaves]) for leaves in choices]
+    fragments = [np.array([leaf_notation(x) for x in leaves], dtype=object) for leaves in choices]
+    for g, (shape, omitted) in enumerate(zip(shapes, patterns)):
+        members = np.flatnonzero(group_of == g)
+        members = members[members < failing]
+        if shape is None or not len(members):
+            continue
+        kept = [k for k, o in enumerate(omitted) if not o]
+        group_ids = ids[np.ix_(members, kept)]
+        template = plan_notation(shape, lambda _: _SLOT).split(_SLOT)
+        for lo in range(0, len(members), per_slice):
+            indexes = members[lo : lo + per_slice]
+            rows = group_ids[lo : lo + per_slice]
+            accepts = plan_accepts(shape, _gathered(accept_rows, kept, rows))
+            accepted = _popcounts(accepts)
+            np.bitwise_and(accepts, match, out=accepts)
+            tp = _popcounts(accepts)
+            sound_kept = _popcounts(np.bitwise_and(accepts, sound, out=accepts))
+            cost = plan_cost(shape, model, _gathered(costs, kept, rows))
+            notation = template[0]
+            for j, k in enumerate(kept):
+                notation = notation + fragments[k][rows[:, j]] + template[j + 1]
+            now = time.perf_counter()
+            wall, start = (now - start) / len(rows), now
+            unsound = indexes[sound_kept < n_sound]
+            if len(unsound):
+                failing = min(failing, int(unsound[0]))
+            fn = n_match - tp
+            fp = accepted - tp
+            for i, text, tp_i, fp_i, fn_i, cost_i in zip(
+                indexes.tolist(), notation.tolist(), tp.tolist(), fp.tolist(), fn.tolist(), cost.tolist()
+            ):
+                reports[i] = EvalReport(configs[i], text, tp_i, fp_i, n - tp_i - fn_i - fp_i, fn_i, cost_i, wall, i)
+    if failing < len(configs):
+        evaluate_config(ast, configs[failing], corpus, labels, model)
+        raise AssertionError(f"config {failing} failed grouped evaluation only")
     return reports
 
 

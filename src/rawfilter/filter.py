@@ -142,8 +142,7 @@ def validate_config(ast: QueryAst, cfg: FilterConfig) -> Plan:
             if pc.mode is Mode.OMIT:
                 omitted += 1
                 return None
-            block = None if pc.block is None else resolve_block_len(node.attr, pc.block)
-            return PlanLeaf(node, pc.mode, block)
+            return plan_leaf(node, pc)
         omitted_before = omitted
         kept = [plan for child in node.children if (plan := walk(child)) is not None]
         if isinstance(node, Or) and omitted > omitted_before:
@@ -160,6 +159,12 @@ def validate_config(ast: QueryAst, cfg: FilterConfig) -> Plan:
     return plan
 
 
+def plan_leaf(pred: Predicate, pc: PredicateConfig) -> PlanLeaf:
+    """The plan leaf of a kept predicate, its block resolved to bytes."""
+    block = None if pc.block is None else resolve_block_len(pred.attr, pc.block)
+    return PlanLeaf(pred, pc.mode, block)
+
+
 def plan_leaves(plan: Plan) -> list[PlanLeaf]:
     """The plan's leaves in query order."""
     if isinstance(plan, PlanLeaf):
@@ -171,18 +176,25 @@ def string_notation(leaf: PlanLeaf) -> str:
     return f's{leaf.block}("{leaf.pred.attr}")'
 
 
-def plan_notation(plan: Plan) -> str:
-    """Compact label: { s1("attr") & v(lo<=f<=hi) } joined with ' & ' / ' | '."""
+def leaf_notation(leaf: PlanLeaf) -> str:
+    value = leaf.pred.bound.notation()
+    if leaf.mode is Mode.VALUE_ONLY:
+        return value
+    if leaf.mode is Mode.FLAT:
+        return f"( {string_notation(leaf)} & {value} )"
+    joiner = " & " if leaf.mode is Mode.SCOPED else " &kv "
+    return "{ " + string_notation(leaf) + joiner + value + " }"
+
+
+def plan_notation(plan: Plan, leaf=leaf_notation) -> str:
+    """Compact label: { s1("attr") & v(lo<=f<=hi) } joined with ' & ' / ' | '.
+
+    ``leaf`` renders each plan leaf, called in plan-leaf order.
+    """
     if isinstance(plan, PlanLeaf):
-        value = plan.pred.bound.notation()
-        if plan.mode is Mode.VALUE_ONLY:
-            return value
-        if plan.mode is Mode.FLAT:
-            return f"( {string_notation(plan)} & {value} )"
-        joiner = " & " if plan.mode is Mode.SCOPED else " &kv "
-        return "{ " + string_notation(plan) + joiner + value + " }"
+        return leaf(plan)
     joiner = " & " if isinstance(plan, PlanAnd) else " | "
-    return "( " + joiner.join(plan_notation(c) for c in plan.children) + " )"
+    return "( " + joiner.join(plan_notation(c, leaf) for c in plan.children) + " )"
 
 
 # --- compilation -------------------------------------------------------------

@@ -77,23 +77,58 @@ def coerce_number(value) -> Decimal | None:
     return None
 
 
-def _occurrences(value, attr: str):
-    """All values the attribute takes anywhere in the record.
+def _occurrences(value, attrs) -> dict:
+    """All values each attribute in ``attrs`` takes anywhere in the record,
+    collected in one walk.
 
     Two spellings count: a SenML measurement object ({"n": attr, "v": x})
     supplies x, and any object with attr as a key supplies that key's value.
     """
-    if isinstance(value, JsonObject):
-        is_measurement = any(k == "n" and v == attr for k, v in value.pairs)
-        for k, v in value.pairs:
-            if is_measurement and k == "v":
-                yield v
-            if k == attr:
-                yield v
-            yield from _occurrences(v, attr)
-    elif isinstance(value, list):
-        for item in value:
-            yield from _occurrences(item, attr)
+    found: dict = {}
+
+    def walk(node):
+        if isinstance(node, JsonObject):
+            names, values = [], []  # the object's "n" attributes and "v" values
+            for k, v in node.pairs:
+                if k in attrs:
+                    found.setdefault(k, []).append(v)
+                if k == "v":
+                    values.append(v)
+                # Only a string "n" names an attribute; the test also keeps
+                # unhashable values out of the set lookup.
+                elif k == "n" and isinstance(v, str) and v in attrs:
+                    names.append(v)
+                if isinstance(v, (JsonObject, list)):
+                    walk(v)
+            if values:
+                for name in names:
+                    found.setdefault(name, []).extend(values)
+        else:
+            for item in node:
+                if isinstance(item, (JsonObject, list)):
+                    walk(item)
+
+    if isinstance(value, (JsonObject, list)):
+        walk(value)
+    return found
+
+
+def _holds(query: QueryAst, occurrences: dict) -> bool:
+    if isinstance(query, Predicate):
+        for occurrence in occurrences.get(query.attr, ()):
+            number = coerce_number(occurrence)
+            if number is not None and query.bound.contains(number):
+                return True
+        return False
+    if isinstance(query, And):
+        return all(_holds(child, occurrences) for child in query.children)
+    if isinstance(query, Or):
+        return any(_holds(child, occurrences) for child in query.children)
+    raise TypeError(f"not a query node: {query!r}")
+
+
+def _query_attrs(query: QueryAst) -> frozenset:
+    return frozenset(leaf.attr for leaf in query.leaves())
 
 
 def eval_exact(query: QueryAst, value) -> bool:
@@ -102,17 +137,7 @@ def eval_exact(query: QueryAst, value) -> bool:
     A predicate holds when any occurrence of its attribute has a numeric
     value inside the bounds; non-coercible occurrences are false.
     """
-    if isinstance(query, Predicate):
-        for occurrence in _occurrences(value, query.attr):
-            number = coerce_number(occurrence)
-            if number is not None and query.bound.contains(number):
-                return True
-        return False
-    if isinstance(query, And):
-        return all(eval_exact(child, value) for child in query.children)
-    if isinstance(query, Or):
-        return any(eval_exact(child, value) for child in query.children)
-    raise TypeError(f"not a query node: {query!r}")
+    return _holds(query, _occurrences(value, _query_attrs(query)))
 
 
 @dataclass(frozen=True)
@@ -148,6 +173,7 @@ def label_dataset(query: QueryAst, records) -> DatasetLabels:
     """Label every record; malformed records count as non-matches."""
     labels = []
     malformed = 0
+    attrs = _query_attrs(query)
     for i, payload in enumerate(records):
         try:
             value = parse_json(payload)
@@ -155,7 +181,7 @@ def label_dataset(query: QueryAst, records) -> DatasetLabels:
             labels.append(MatchLabel(i, False, parse_ok=False))
             malformed += 1
             continue
-        labels.append(MatchLabel(i, eval_exact(query, value)))
+        labels.append(MatchLabel(i, _holds(query, _occurrences(value, attrs))))
     if not labels:
         return DatasetLabels([], 0.0, empty=True)
     selectivity = sum(1 for lab in labels if lab.exact_match) / len(labels)

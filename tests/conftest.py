@@ -113,7 +113,10 @@ def query_asts(draw):
         return leaf()
     op, nested = draw(st.sampled_from([(And, Or), (Or, And)]))
     if n == 3 and draw(st.booleans()):
-        return op((leaf(), nested(tuple(leaf() for _ in range(n - 1)))))
+        # The nested group goes first or last: (a OR b) AND c as well as a AND (b OR c).
+        children = [leaf()]
+        children.insert(draw(st.integers(0, 1)), nested((leaf(), leaf())))
+        return op(tuple(children))
     return op(tuple(leaf() for _ in range(n)))
 
 

@@ -1,11 +1,15 @@
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rawfilter import explorer
 from rawfilter.batch import CorpusIndex, evaluate_config_batch
 from rawfilter.datagen import GenSpec, AttrSpec, generate_dataset, query_for_spec
 from rawfilter.errors import CapExceededError, ConfigError, FalseNegativeError
@@ -353,6 +357,73 @@ def test_explore_csv_digests_are_pinned():
         "7c37d48daa0b88734304decf627f1ead51b08bb340644053a4b69588082194a9",
         "9f18d423f9237bfa639432aa27990f9b8c627939c6fa89d5e856c33298a3233d",
     ]
+
+
+def test_five_predicate_sweep_digests_are_pinned():
+    # The 32767-config sweep of scripts/explore_synthetic.py, on 300 records.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "explore_synthetic.py"
+    module_spec = importlib.util.spec_from_file_location("explore_synthetic", path)
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    spec = script.build_spec(300, 11)
+    corpus_bytes, _ = generate_dataset(spec)
+    reports, front = explore(parse_query(query_for_spec(spec)), corpus_bytes, ExplorerOptions())
+    assert (len(reports), len(front)) == (32767, 13)
+    digests = [hashlib.sha256(reports_to_csv(r).encode()).hexdigest() for r in (reports, front)]
+    assert digests == [
+        "7a5a9626773c15627898253cca4d43fcdd399d816c64033ebb043b928e43d473",
+        "cb95e91d4baa0f431b04acda0177cf22881f24ae6292c5309afcbc31b6a3aa87",
+    ]
+
+
+class TestGroupedEvaluation:
+    AST = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
+    VALID = [
+        FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.FLAT, 2))),
+        FilterConfig((PredicateConfig(Mode.VALUE_ONLY), PredicateConfig(Mode.OMIT))),
+    ]
+    # KEYVALUE drops SenML true matches: name and value sit in different segments.
+    UNSOUND = FilterConfig((PredicateConfig(Mode.KEYVALUE, 1), PredicateConfig(Mode.OMIT)))
+    INVALID = [
+        FilterConfig((PredicateConfig(Mode.OMIT), PredicateConfig(Mode.OMIT))),  # nothing kept
+        FilterConfig((PredicateConfig(Mode.FLAT, 99), PredicateConfig(Mode.OMIT))),  # B > N
+        FilterConfig((PredicateConfig(Mode.FLAT, 1),)),  # one entry for two predicates
+    ]
+
+    def corpus(self):
+        corpus = CorpusIndex(generate_dataset(synthetic_spec(records=300, seed=4))[0])
+        return corpus, label_dataset(self.AST, corpus.records())
+
+    def raised(self, call):
+        with pytest.raises((ConfigError, FalseNegativeError)) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("invalid", INVALID)
+    @pytest.mark.parametrize("unsound_first", [True, False])
+    def test_first_failing_config_in_list_order_raises(self, invalid, unsound_first):
+        tail = [self.UNSOUND, invalid] if unsound_first else [invalid, self.UNSOUND]
+        corpus, labels = self.corpus()
+        configs = self.VALID + tail + self.VALID
+        expected = self.raised(lambda: evaluate_config(self.AST, tail[0], corpus, labels))
+        assert expected[0] is (FalseNegativeError if tail[0] is self.UNSOUND else ConfigError)
+        assert self.raised(lambda: evaluate_all(self.AST, configs, corpus, labels)) == expected
+
+    def test_slices_of_one_config_give_the_unsliced_reports(self, monkeypatch):
+        corpus, labels = self.corpus()
+        configs = enumerate_configs(self.AST)
+
+        def outcomes():
+            start = time.perf_counter()
+            reports = evaluate_all(self.AST, configs, corpus, labels)
+            # Each report gets its slice's time over the slice's config count.
+            assert 0 < sum(r.wall_time for r in reports) <= time.perf_counter() - start
+            return [(r.config, r.notation, r.tp, r.fp, r.tn, r.fn, r.cost, r.config_id) for r in reports]
+
+        unsliced = outcomes()
+        monkeypatch.setattr(explorer, "_SLICE_BYTES", 1)
+        assert outcomes() == unsliced
+        assert len(unsliced) == 63
 
 
 def _outcome(ast, cfg, corpus, labels):
