@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pareto-out")
     p.add_argument("--modes", type=_mode_list, default="OMIT,VALUE_ONLY,FLAT,SCOPED")
     p.add_argument("--blocks", type=_block_list, default="1,2,N")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=_at_least(0), default=10**6)
     p.add_argument("--sample", type=_at_least(0), default=None, help="evaluate on a seeded record subset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

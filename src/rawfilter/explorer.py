@@ -20,6 +20,11 @@ words) accept matrices, and counts tp/fp by popcount. With timings on, a
 report's wall_ms is its slice's evaluation time divided by the slice's
 configuration count; the first slice also carries the build of every
 predicate's accept vector.
+
+Labels come from `oracle.label_dataset`, which parses every record with one
+shared JSON decoder and tests the query attributes in one walk per record.
+`reports_to_csv` formats each row as one string and joins them once,
+quoting the notation as `csv.writer` would.
 """
 
 from __future__ import annotations
@@ -284,15 +289,17 @@ def _popcounts(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def _choice(ids: dict, leaves: list, pred: Predicate, pc: PredicateConfig) -> int:
-    """One leaf's choice row for ``pc``, resolved on first sight; -1 for OMIT."""
-    row = ids.get(pc)
+def _choice(by_id: dict, by_value: dict, leaves: list, pred: Predicate, pc: PredicateConfig) -> int:
+    """One leaf's choice row for ``pc``, resolved on first sight of its value
+    and recorded under its id; -1 for OMIT."""
+    row = by_value.get(pc)
     if row is None:
         row = -1
         if pc.mode is not Mode.OMIT:
             leaves.append(plan_leaf(pred, pc))
             row = len(leaves) - 1
-        ids[pc] = row
+        by_value[pc] = row
+    by_id[id(pc)] = row
     return row
 
 
@@ -303,17 +310,23 @@ def _choice_rows(preds: list, configs: list[FilterConfig]) -> tuple[list, np.nda
     configuration picks per leaf (-1 for OMIT) as a (configurations x leaves)
     array. It stops before the first configuration whose entry count or
     block is invalid.
+
+    Enumerated configurations share their `PredicateConfig` objects, so rows
+    are looked up by object id, which skips the dataclass's Python-level
+    hash; an id seen for the first time falls back to a lookup by value.
+    The ids stay unique because ``configs`` keeps every entry alive.
     """
-    choice_ids: list[dict] = [{} for _ in preds]  # per leaf: PredicateConfig -> row
+    by_id: list[dict] = [{} for _ in preds]  # per leaf: id(PredicateConfig) -> row
+    by_value: list[dict] = [{} for _ in preds]  # per leaf: PredicateConfig -> row
     choices: list[list[PlanLeaf]] = [[] for _ in preds]
     picked = []
     for cfg in configs:
         if len(cfg.predicates) != len(preds):
             break
-        row = tuple(map(dict.get, choice_ids, cfg.predicates))
+        row = tuple(map(dict.get, by_id, map(id, cfg.predicates)))
         if None in row:
             try:
-                row = tuple(map(_choice, choice_ids, choices, preds, cfg.predicates))
+                row = tuple(map(_choice, by_id, by_value, choices, preds, cfg.predicates))
             except ValueError:  # ConfigError, or a block that is not a number
                 break
         picked.append(row)
@@ -424,27 +437,30 @@ def pareto_front(reports: list[EvalReport]) -> list[EvalReport]:
     """
     if not reports:
         raise ValueError("pareto_front needs at least one report")
-    best_of_tie: dict = {}
+    best_of_tie: dict = {}  # (cost, fpr) -> report
     for r in reports:
-        key = (r.fpr, r.cost)
+        key = (r.cost, r.fpr)
         held = best_of_tie.get(key)
         if held is None or r.notation < held.notation:
             best_of_tie[key] = r
+    # By ascending cost, each kept point has a lower FPR than all before it,
+    # so the front comes out in its final order.
     front = []
     best_fpr = math.inf
-    for r in sorted(best_of_tie.values(), key=lambda r: (r.cost, r.fpr)):
-        if r.fpr < best_fpr:
-            front.append(r)
-            best_fpr = r.fpr
-    front.sort(key=lambda r: (-r.fpr, r.cost))
+    for cost, fpr in sorted(best_of_tie):
+        if fpr < best_fpr:
+            front.append(best_of_tie[cost, fpr])
+            best_fpr = fpr
     return front
 
 
 def _sampled_corpus(corpus: CorpusIndex, options: ExplorerOptions) -> CorpusIndex:
     import random
 
+    if options.sample is None:
+        return corpus
     records = corpus.records()
-    if options.sample is None or options.sample >= len(records):
+    if options.sample >= len(records):
         return corpus
     rng = random.Random(options.seed)
     picked = sorted(rng.sample(range(len(records)), options.sample))
@@ -470,13 +486,26 @@ def explore(
 CSV_HEADER = ["config_id", "config", "fpr", "fp", "tn", "tp", "fn", "cost", "wall_ms"]
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as `csv.writer` writes it with QUOTE_MINIMAL and "\\n" line
+    ends: quoted, with doubled quotes, when it holds a delimiter, a quote or
+    a line end."""
+    if "\r" in text:  # rare; csv.writer's rule for a bare "\r" is not its rule for "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow([text, ""])
+        return out.getvalue()[:-2]
+    if '"' in text or "," in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def reports_to_csv(reports: list[EvalReport], include_timings: bool = False) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """One row per report under `CSV_HEADER`, as `csv.writer` would write
+    them, built with one join."""
+    rows = [",".join(CSV_HEADER)]
     for r in reports:
         wall_ms = round(r.wall_time * 1000.0, 3) if include_timings else 0
-        writer.writerow(
-            [r.config_id, r.notation, f"{r.fpr:.6f}", r.fp, r.tn, r.tp, r.fn, f"{r.cost:g}", wall_ms]
+        rows.append(
+            f"{r.config_id},{_csv_field(r.notation)},{r.fpr:.6f},{r.fp},{r.tn},{r.tp},{r.fn},{r.cost:g},{wall_ms}"
         )
-    return out.getvalue()
+    return "\n".join(rows) + "\n"

@@ -20,25 +20,34 @@ from .query import And, Or, Predicate, QueryAst
 _NUMERIC_STRING = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?\Z")
 
 
-class JsonObject:
-    """JSON object as an ordered pair list; duplicate keys are preserved."""
+class JsonObject(list):
+    """JSON object as an ordered pair list; duplicate keys are preserved.
 
-    __slots__ = ("pairs",)
+    The object is a list of its (key, value) pairs, so the decoder builds one
+    with no Python-level call. It equals only another JsonObject, never a
+    plain list or a JSON array; `pairs` is a plain-list copy of the pairs.
+    """
 
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
+    __slots__ = ()
+
+    @property
+    def pairs(self) -> list:
+        return list(self)
 
     def get(self, key, default=None):
-        for k, v in self.pairs:
+        for k, v in self:
             if k == key:
                 return v
         return default
 
     def __eq__(self, other):
-        return isinstance(other, JsonObject) and self.pairs == other.pairs
+        return isinstance(other, JsonObject) and list.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __repr__(self):
-        return f"JsonObject({self.pairs!r})"
+        return f"JsonObject({list(self)!r})"
 
 
 class JsonParseError(ValueError):
@@ -49,6 +58,16 @@ def _reject_constant(name):
     raise JsonParseError(f"non-finite literal {name!r} is not valid JSON")
 
 
+# One decoder for every record: `json.loads` with hooks would build a new
+# decoder and scanner per call.
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=JsonObject,
+    parse_float=Decimal,
+    parse_int=Decimal,
+    parse_constant=_reject_constant,
+)
+
+
 def parse_json(data: bytes | str):
     """Strictly parse one record; numbers become Decimal (exponent applied)."""
     if isinstance(data, bytes):
@@ -57,13 +76,7 @@ def parse_json(data: bytes | str):
         except UnicodeDecodeError as exc:
             raise JsonParseError(str(exc)) from exc
     try:
-        return json.loads(
-            data,
-            object_pairs_hook=JsonObject,
-            parse_float=Decimal,
-            parse_int=Decimal,
-            parse_constant=_reject_constant,
-        )
+        return _DECODER.decode(data)
     except json.JSONDecodeError as exc:
         raise JsonParseError(str(exc)) from exc
 
@@ -77,58 +90,70 @@ def coerce_number(value) -> Decimal | None:
     return None
 
 
-def _occurrences(value, attrs) -> dict:
-    """All values each attribute in ``attrs`` takes anywhere in the record,
-    collected in one walk.
+def _leaf_tests(query: QueryAst) -> tuple[dict, dict]:
+    """A bit per distinct query leaf, and per attribute its leaves' (bit, bound)."""
+    bits = {leaf: 1 << i for i, leaf in enumerate(dict.fromkeys(query.leaves()))}
+    tests: dict = {}
+    for leaf, bit in bits.items():
+        tests.setdefault(leaf.attr, []).append((bit, leaf.bound))
+    return bits, tests
+
+
+def _held(tests: list, value) -> int:
+    """Bits of the (bit, bound) tests that one occurrence's value satisfies."""
+    number = coerce_number(value)
+    if number is None:
+        return 0
+    held = 0
+    for bit, bound in tests:
+        if bound.contains(number):
+            held |= bit
+    return held
+
+
+def _hits(value, tests: dict) -> int:
+    """Bits of the leaves that some occurrence of their attribute satisfies,
+    found in one walk of the record.
 
     Two spellings count: a SenML measurement object ({"n": attr, "v": x})
     supplies x, and any object with attr as a key supplies that key's value.
+    An object allocates nothing unless one of its "n" names a query attribute.
     """
-    found: dict = {}
-
-    def walk(node):
+    hits = 0
+    stack = [value] if isinstance(value, list) else []
+    while stack:
+        node = stack.pop()
         if isinstance(node, JsonObject):
-            names, values = [], []  # the object's "n" attributes and "v" values
-            for k, v in node.pairs:
-                if k in attrs:
-                    found.setdefault(k, []).append(v)
-                if k == "v":
-                    values.append(v)
+            names = None  # the object's "n" attributes
+            for k, v in node:
+                if k in tests:
+                    hits |= _held(tests[k], v)
                 # Only a string "n" names an attribute; the test also keeps
-                # unhashable values out of the set lookup.
-                elif k == "n" and isinstance(v, str) and v in attrs:
-                    names.append(v)
-                if isinstance(v, (JsonObject, list)):
-                    walk(v)
-            if values:
-                for name in names:
-                    found.setdefault(name, []).extend(values)
+                # unhashable values out of the dict lookup.
+                if k == "n" and isinstance(v, str) and v in tests:
+                    names = [v] if names is None else names + [v]
+                if isinstance(v, list):
+                    stack.append(v)
+            if names:
+                for k, v in node:
+                    if k == "v":
+                        for name in names:
+                            hits |= _held(tests[name], v)
         else:
             for item in node:
-                if isinstance(item, (JsonObject, list)):
-                    walk(item)
-
-    if isinstance(value, (JsonObject, list)):
-        walk(value)
-    return found
+                if isinstance(item, list):
+                    stack.append(item)
+    return hits
 
 
-def _holds(query: QueryAst, occurrences: dict) -> bool:
+def _holds(query: QueryAst, hits: int, bits: dict) -> bool:
     if isinstance(query, Predicate):
-        for occurrence in occurrences.get(query.attr, ()):
-            number = coerce_number(occurrence)
-            if number is not None and query.bound.contains(number):
-                return True
-        return False
+        return bool(hits & bits[query])
     if isinstance(query, And):
-        return all(_holds(child, occurrences) for child in query.children)
+        return all(_holds(child, hits, bits) for child in query.children)
     if isinstance(query, Or):
-        return any(_holds(child, occurrences) for child in query.children)
+        return any(_holds(child, hits, bits) for child in query.children)
     raise TypeError(f"not a query node: {query!r}")
-
-
-def _query_attrs(query: QueryAst) -> frozenset:
-    return frozenset(leaf.attr for leaf in query.leaves())
 
 
 def eval_exact(query: QueryAst, value) -> bool:
@@ -137,7 +162,8 @@ def eval_exact(query: QueryAst, value) -> bool:
     A predicate holds when any occurrence of its attribute has a numeric
     value inside the bounds; non-coercible occurrences are false.
     """
-    return _holds(query, _occurrences(value, _query_attrs(query)))
+    bits, tests = _leaf_tests(query)
+    return _holds(query, _hits(value, tests), bits)
 
 
 @dataclass(frozen=True)
@@ -173,7 +199,8 @@ def label_dataset(query: QueryAst, records) -> DatasetLabels:
     """Label every record; malformed records count as non-matches."""
     labels = []
     malformed = 0
-    attrs = _query_attrs(query)
+    bits, tests = _leaf_tests(query)
+    truth: dict = {}  # hit bits -> label; few distinct patterns repeat
     for i, payload in enumerate(records):
         try:
             value = parse_json(payload)
@@ -181,7 +208,11 @@ def label_dataset(query: QueryAst, records) -> DatasetLabels:
             labels.append(MatchLabel(i, False, parse_ok=False))
             malformed += 1
             continue
-        labels.append(MatchLabel(i, _holds(query, _occurrences(value, attrs))))
+        hits = _hits(value, tests)
+        match = truth.get(hits)
+        if match is None:
+            match = truth[hits] = _holds(query, hits, bits)
+        labels.append(MatchLabel(i, match))
     if not labels:
         return DatasetLabels([], 0.0, empty=True)
     selectivity = sum(1 for lab in labels if lab.exact_match) / len(labels)

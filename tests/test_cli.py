@@ -203,6 +203,7 @@ class TestExplore:
         ("explore", "--modes", "FLAT,BOGUS"),
         ("explore", "--blocks", "1,x"),
         ("explore", "--sample", "-1"),
+        ("explore", "--cap", "-3"),
         ("bench", "--repetitions", "0"),
     ],
 )

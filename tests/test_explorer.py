@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib.util
+import io
 import itertools
 import math
 import random
@@ -7,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rawfilter import explorer
 from rawfilter.batch import CorpusIndex, evaluate_config_batch
@@ -345,6 +347,46 @@ class TestExplore:
         assert reports_to_csv(again) == text
 
 
+def csv_writer_rendering(reports, include_timings=False):
+    """The report CSV as `csv.writer` writes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(explorer.CSV_HEADER)
+    for r in reports:
+        wall_ms = round(r.wall_time * 1000.0, 3) if include_timings else 0
+        writer.writerow(
+            [r.config_id, r.notation, f"{r.fpr:.6f}", r.fp, r.tn, r.tp, r.fn, f"{r.cost:g}", wall_ms]
+        )
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("include_timings", [False, True])
+def test_csv_quotes_and_numbers_match_csv_writer(include_timings):
+    # Attributes holding a delimiter, a line feed or a carriage return, over
+    # records without them, so no configuration meets a true match.
+    ast = parse_query('(0 <= "a,b" <= 9) AND (1 <= "c\nd" <= 5) OR (2.5 <= "e\rf\r\n" <= 7)')
+    reports, front = explore(ast, fuzz_records(2, 20), ExplorerOptions(modes=tuple(Mode), blocks=(1, "N")))
+    for rows in (reports, front):
+        assert reports_to_csv(rows, include_timings) == csv_writer_rendering(rows, include_timings)
+    # VALUE_ONLY-only notations name no attribute and are written unquoted.
+    text = reports_to_csv(reports, include_timings)
+    value_only = [r for r in reports if all(pc.mode is Mode.VALUE_ONLY for pc in r.config.predicates)]
+    assert value_only and all(f"\n{r.config_id},{r.notation},{r.fpr:.6f}," in text for r in value_only)
+    made = [
+        EvalReport(None, notation, 3, fp, tn, 0, cost, wall, i)
+        for i, (notation, fp, tn, cost, wall) in enumerate([
+            ("plain", 0, 0, 1e20, 0.0),
+            ("", 1, 2, 0.5, 1e-9),
+            ('q"uote', 7, 0, 123456789.0, 0.0012345),
+            ("a,b", 0, 5, 3, 12.3456789),
+            ("l\nf", 2, 2, 1e-7, 2.5e-4),
+            ("c\rr", 1, 1, 4, 1.0),
+            ("\r\n", 0, 1, 0, 7e-5),
+        ])
+    ]
+    assert reports_to_csv(made, include_timings) == csv_writer_rendering(made, include_timings)
+
+
 def test_explore_csv_digests_are_pinned():
     # Any change to a byte of the report or front CSV shows here.
     spec = synthetic_spec(records=300, seed=6)
@@ -471,11 +513,39 @@ def test_enumeration_equals_validating_every_combination(ast):
     assert enumerate_configs(ast, ALL_MODES) == expected
 
 
-@settings(max_examples=6)
+def own_attribute_records(ast, seed: int) -> bytes:
+    """One SenML or flat record per inside/outside pattern of the query's
+    leaves: each leaf's attribute takes a value inside its bound or outside
+    it, so every AND/OR branch is true on some records and false on others."""
+    rng = random.Random(seed)
+    leaves = list(ast.leaves())
+    records = []
+    for pattern in range(2 ** len(leaves)):
+        values = []
+        for j, leaf in enumerate(leaves):
+            lo, hi = leaf.bound.lower, leaf.bound.upper
+            if pattern >> j & 1:
+                value = lo + (hi - lo) * rng.randint(0, 4) / 4
+            else:
+                value = rng.choice((lo - rng.randint(1, 40), hi + rng.randint(1, 40)))
+            values.append((leaf.attr, value))
+        if rng.random() < 0.5:
+            records.append("{" + ",".join(f'"{a}":{v}' for a, v in values) + "}")
+        else:
+            entries = ",".join(f'{{"v":"{v}","u":"per","n":"{a}"}}' for a, v in values)
+            records.append(f'{{"e":[{entries}],"bt":1422748800000}}')
+    return "\n".join(records).encode() + b"\n"
+
+
+@settings(max_examples=5)
 @given(ast=query_asts(), seed=st.integers(0, 2**32 - 1))
+# A nested group before a later leaf, where a reference that short-circuits
+# the group would skip its second child's leaves. Two-byte attributes have
+# two block lengths, which keeps the configuration count small.
+@example(ast=parse_query('((0 <= "xa" <= 30) OR (10 <= "yb" <= 90)) AND (20 <= "zc" <= 69)'), seed=0)
 def test_every_valid_config_agrees_with_the_compiled_reference(ast, seed):
     # Every mode including OMIT, so omitted leaves sit under nested AND/OR.
-    corpus = CorpusIndex(fuzz_records(seed, 8))
+    corpus = CorpusIndex(fuzz_records(seed, 2) + own_attribute_records(ast, seed))
     records = corpus.records()
     for cfg in enumerate_configs(ast, ALL_MODES):
         expr = compile_filter(ast, cfg)
