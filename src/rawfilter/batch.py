@@ -438,7 +438,6 @@ class CorpusIndex:
     accept vectors, shared by every configuration evaluated over it."""
 
     def __init__(self, data: bytes, index: ScanIndex | None = None):
-        self.data = data
         self.index = index if index is not None else build_scan_index(data)
         self._cache: dict = {}
 
@@ -447,7 +446,7 @@ class CorpusIndex:
         return self.index.n_records
 
     def records(self) -> list[bytes]:
-        return [self.data[int(s) : int(e)] for s, e in zip(self.index.rec_starts, self.index.rec_ends)]
+        return [self.index.raw[int(s) : int(e)] for s, e in zip(self.index.rec_starts, self.index.rec_ends)]
 
     def string_fires(self, pattern: str | bytes, block: int) -> PrimitiveFires:
         """Fires of the block matcher; ``block`` is resolved, as in a plan leaf."""
@@ -509,14 +508,10 @@ def plan_accepts(plan: Plan, leaf) -> np.ndarray:
     return out
 
 
-def accept_vector(corpus: CorpusIndex, plan: Plan) -> np.ndarray:
-    """Fresh accept vector of a plan from `filter.validate_config`."""
-    return plan_accepts(plan, lambda leaf: corpus.predicate_vector(leaf).copy())
-
-
 def evaluate_config_batch(corpus: CorpusIndex, ast: QueryAst, cfg) -> np.ndarray:
-    """Accept vector over all records for one configuration."""
-    return accept_vector(corpus, validate_config(ast, cfg))
+    """Fresh accept vector over all records for one configuration; an invalid
+    configuration raises `filter.validate_config`'s `ConfigError`."""
+    return plan_accepts(validate_config(ast, cfg), lambda leaf: corpus.predicate_vector(leaf).copy())
 
 
 def primitive_fire_counts(corpus: CorpusIndex, ast: QueryAst, cfg) -> dict:

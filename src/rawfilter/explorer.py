@@ -12,6 +12,11 @@ its accept vector, notation and cost. Once blocks are resolved, only the
 omission pattern decides validity and the plan's shape, so enumeration and
 `evaluate_all` validate one shape per pattern.
 
+`evaluate_all` is the one evaluator; `evaluate_config` (`rawfilter eval`)
+is `evaluate_all` over one configuration. The first failing configuration
+raises: an invalid one `ConfigError`, one that drops a well-formed true
+match `FalseNegativeError`, since a false negative is never a statistic.
+
 Every configuration is evaluated over one shared `CorpusIndex`, which caches
 primitive fires and each predicate's accept vector per (mode, block): a
 sweep scans and conjoins each primitive once. `evaluate_all` then walks each
@@ -39,7 +44,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .batch import CorpusIndex, accept_vector, plan_accepts
+from .batch import CorpusIndex, evaluate_config_batch, plan_accepts
 from .errors import CapExceededError, ConfigError, FalseNegativeError
 from .filter import (
     FilterConfig,
@@ -188,10 +193,14 @@ def _shape(ast: QueryAst, omitted: tuple) -> Plan | None:
 
 
 def enumerate_configs(ast: QueryAst, options: ExplorerOptions = ExplorerOptions()) -> list[FilterConfig]:
-    """All valid configurations, in a deterministic order."""
+    """All valid configurations, in a deterministic order; a listed block
+    longer than an attribute stands for its N."""
     per_leaf: list[list[PredicateConfig]] = []
     for leaf in ast.leaves():
-        blocks = dict.fromkeys(resolve_block_len(leaf.attr, b) for b in options.blocks)
+        n = len(leaf.attr.encode())
+        blocks = dict.fromkeys(
+            resolve_block_len(leaf.attr, b if b == "N" else min(int(b), n)) for b in options.blocks
+        )
         per_leaf.append([
             PredicateConfig(mode, b)
             for mode in options.modes
@@ -244,29 +253,9 @@ def evaluate_config(
     labels: DatasetLabels | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> EvalReport:
-    """Run one configuration over a labeled corpus.
-
-    A false negative on a well-formed record is a soundness bug and raises
-    instead of being reported.
-    """
-    if labels is None:
-        labels = label_dataset(ast, corpus.records())
-    match, parse_ok = labels.exact_match, labels.parse_ok
-    start = time.perf_counter()
-    plan = validate_config(ast, cfg)
-    accepts = accept_vector(corpus, plan)
-    tp = int(np.count_nonzero(match & accepts))
-    fn = int(np.count_nonzero(match & ~accepts))
-    fp = int(np.count_nonzero(~match & accepts))
-    tn = len(match) - tp - fn - fp
-    if fn and bool(np.any(match & ~accepts & parse_ok)):
-        index = int(np.nonzero(match & ~accepts & parse_ok)[0][0])
-        raise FalseNegativeError(
-            f"record {index} matches the query but was filtered out "
-            f"by {plan_notation(plan)}"
-        )
-    wall = time.perf_counter() - start
-    return EvalReport(cfg, plan_notation(plan), tp, fp, tn, fn, plan_cost(plan, model), wall)
+    """Run one configuration over a labeled corpus: `evaluate_all` over a
+    list of one, so it raises what `evaluate_all` raises."""
+    return evaluate_all(ast, [cfg], corpus, labels, model)[0]
 
 
 # Bytes of one (configurations x words) packed accept matrix: a group is
@@ -352,9 +341,10 @@ def evaluate_all(
     labels: DatasetLabels | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> list[EvalReport]:
-    """Evaluate configurations by plan shape; the reports, in list order,
-    equal `evaluate_config`'s, and the first failing configuration in list
-    order raises what `evaluate_config` raises on it.
+    """The one evaluator: a report per configuration, in list order. The
+    first failing configuration in list order raises: an invalid one
+    `validate_config`'s `ConfigError`, one that drops a well-formed true
+    match `FalseNegativeError` for the first such record.
 
     A group is every configuration with one omission pattern, so one plan
     shape, validated once. Each distinct (leaf, choice) is resolved once into
@@ -422,8 +412,11 @@ def evaluate_all(
             ):
                 reports[i] = EvalReport(configs[i], text, tp_i, fp_i, n - tp_i - fn_i - fp_i, fn_i, cost_i, wall, i)
     if failing < len(configs):
-        evaluate_config(ast, configs[failing], corpus, labels, model)
-        raise AssertionError(f"config {failing} failed grouped evaluation only")
+        accepts = evaluate_config_batch(corpus, ast, configs[failing])  # an invalid config raises here
+        record = int(np.flatnonzero(labels.exact_match & labels.parse_ok & ~accepts)[0])
+        raise FalseNegativeError(
+            f"record {record} matches the query but was filtered out by {reports[failing].notation}"
+        )
     return reports
 
 
@@ -474,8 +467,10 @@ def explore(
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> tuple[list[EvalReport], list[EvalReport]]:
     """Enumerate, evaluate and extract the front. Returns (reports, front)."""
-    corpus = _sampled_corpus(CorpusIndex(data), options)
     configs = enumerate_configs(ast, options)
+    if not configs:
+        raise ConfigError(f"no valid configuration with modes {','.join(m.value for m in options.modes)}")
+    corpus = _sampled_corpus(CorpusIndex(data), options)
     labels = label_dataset(ast, corpus.records())
     reports = evaluate_all(ast, configs, corpus, labels, model)
     return reports, pareto_front(reports)

@@ -164,6 +164,46 @@ class TestEval:
         corpus.write_bytes(b'{"e":[{"v":"12","u":"per","n":"temperature"}]}\n')
         rc = run_cli("eval", "--query", ws / "q0.txt", "--config", tmp_path / "kv.cfg", "--dataset", corpus)
         assert rc == 4
+        assert capsys.readouterr().err == (
+            "correctness failure: record 0 matches the query but was filtered out by "
+            '{ s1("temperature") &kv v(0.7<=f<=35.1) }\n'
+        )
+
+    # Whole `eval` payloads but wall_s, per (dataset, config).
+    NO_MATCH = dict(tp=0, fn=0, selectivity=0.0)
+    EMPTY = dict(NO_MATCH, records=0, fp=0, tn=0, fpr=0.0, malformed=0, selectivity_undefined=True)
+    MALFORMED = dict(NO_MATCH, records=4, fp=2, tn=2, fpr=0.5, malformed=4, selectivity_undefined=False)
+    GENERATED = dict(records=400, tp=250, fn=0, selectivity=0.625, selectivity_undefined=False, malformed=0)
+    SCOPED = dict(config='{ s1("temperature") & v(0.7<=f<=35.1) }', cost=104.0)
+    FLAT = dict(config='( s1("temperature") & v(0.7<=f<=35.1) )', cost=103.0)
+
+    @pytest.mark.parametrize(
+        "dataset, cfg, expected",
+        [
+            ("empty", "scoped", {**EMPTY, **SCOPED}),
+            ("empty", "flat", {**EMPTY, **FLAT}),
+            ("malformed", "scoped", {**MALFORMED, **SCOPED}),
+            ("malformed", "flat", {**MALFORMED, **FLAT}),
+            ("generated", "scoped", {**GENERATED, **SCOPED, "fp": 0, "tn": 150, "fpr": 0.0}),
+            ("generated", "flat", {**GENERATED, **FLAT, "fp": 50, "tn": 100, "fpr": 0.333333}),
+        ],
+    )
+    def test_json_payload_is_pinned(self, ws, tmp_path, capsys, dataset, cfg, expected):
+        path = tmp_path / f"{dataset}.ndjson"
+        if dataset == "generated":
+            assert run_cli("gen", "--spec", ws / "gen.spec", "--out", path) == 0
+        else:
+            path.write_bytes(
+                b"" if dataset == "empty"
+                # a trailing comma, two bad number/array bodies, an unclosed object
+                else b'{"v":"12","n":"temperature",}\n{"v":1 2}\n[1,,2]\n{"n":"temperature","v":"9"\n'
+            )
+        capsys.readouterr()
+        rc = run_cli("eval", "--query", ws / "q0.txt", "--config", ws / f"{cfg}.cfg", "--dataset", path)
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert isinstance(payload.pop("wall_s"), float)
+        assert payload == expected
 
 
 class TestExplore:
@@ -196,6 +236,14 @@ class TestExplore:
         )
         assert rc == 5
 
+    def test_one_byte_attribute_with_default_blocks(self, tmp_path, capsys):
+        (tmp_path / "q.txt").write_text('(0 <= "v" <= 10)\n')
+        (tmp_path / "d.ndjson").write_bytes(b'{"v":5}\n{"v":50}\n')
+        rc = run_cli("explore", "--query", tmp_path / "q.txt", "--dataset", tmp_path / "d.ndjson",
+                     "--out", tmp_path / "r.csv")
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["configs"] == 3  # VALUE_ONLY, FLAT 1, SCOPED 1
+
 
 @pytest.mark.parametrize(
     "command, option, value",
@@ -205,6 +253,7 @@ class TestExplore:
         ("explore", "--sample", "-1"),
         ("explore", "--cap", "-3"),
         ("bench", "--repetitions", "0"),
+        ("explore", "--modes", "OMIT"),  # parses, but leaves no valid configuration
     ],
 )
 def test_bad_option_value_exits_2(ws, capsys, command, option, value):
@@ -214,10 +263,14 @@ def test_bad_option_value_exits_2(ws, capsys, command, option, value):
         desc = ws / "f.desc"
         assert run_cli("compile", "--query", ws / "q0.txt", "--config", ws / "scoped.cfg", "--out", desc) == 0
         argv = ["bench", "--filter", desc, "--dataset", ws / "data.ndjson"]
-    with pytest.raises(SystemExit) as exited:
-        run_cli(*argv, option, value)
-    assert exited.value.code == 2
-    assert f"error: argument {option}:" in capsys.readouterr().err
+    if value == "OMIT":
+        assert run_cli(*argv, option, value) == 2
+        assert capsys.readouterr().err == "error: no valid configuration with modes OMIT\n"
+    else:
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, option, value)
+        assert exited.value.code == 2
+        assert f"error: argument {option}:" in capsys.readouterr().err
     assert not (ws / "r.csv").exists()
 
 

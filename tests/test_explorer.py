@@ -72,6 +72,14 @@ class TestEnumeration:
         ast = parse_query('(1 <= "ab" <= 2)')
         configs = enumerate_configs(ast)
         assert len(configs) == 1 + 2 * 2  # VALUE_ONLY + {FLAT,SCOPED} x {1,2}
+        # for a 1-byte attribute, B=2 stands for N, and B=1, 2 and N coincide
+        ast = parse_query('(1 <= "a" <= 2)')
+        configs = enumerate_configs(ast)
+        assert len(configs) == 1 + 2 * 1  # VALUE_ONLY + {FLAT,SCOPED} x {1}
+        assert {pc.block for c in configs for pc in c.predicates} == {None, 1}
+        # validation stays strict: only enumeration maps a long block to N
+        with pytest.raises(ConfigError, match="block length 2 out of range for N=1"):
+            validate_config(ast, FilterConfig((PredicateConfig(Mode.FLAT, 2),)))
 
     def test_or_query_excludes_omit(self):
         ast = parse_query('(1 <= "aa" <= 2) OR (3 <= "bb" <= 4)')
@@ -426,10 +434,24 @@ class TestGroupedEvaluation:
     ]
     # KEYVALUE drops SenML true matches: name and value sit in different segments.
     UNSOUND = FilterConfig((PredicateConfig(Mode.KEYVALUE, 1), PredicateConfig(Mode.OMIT)))
+    UNSOUND_RAISES = (
+        FalseNegativeError,
+        'record 1 matches the query but was filtered out by { s1("temperature") &kv v(0.7<=f<=35.1) }',
+    )
+    # Each invalid config with the ConfigError text `validate_config` raises on it.
     INVALID = [
-        FilterConfig((PredicateConfig(Mode.OMIT), PredicateConfig(Mode.OMIT))),  # nothing kept
-        FilterConfig((PredicateConfig(Mode.FLAT, 99), PredicateConfig(Mode.OMIT))),  # B > N
-        FilterConfig((PredicateConfig(Mode.FLAT, 1),)),  # one entry for two predicates
+        (  # nothing kept
+            FilterConfig((PredicateConfig(Mode.OMIT), PredicateConfig(Mode.OMIT))),
+            "an AND clause must keep at least one predicate",
+        ),
+        (  # B > N
+            FilterConfig((PredicateConfig(Mode.FLAT, 99), PredicateConfig(Mode.OMIT))),
+            "block length 99 out of range for N=11",
+        ),
+        (  # one entry for two predicates
+            FilterConfig((PredicateConfig(Mode.FLAT, 1),)),
+            "config has 1 predicate entries, query has 2",
+        ),
     ]
 
     def corpus(self):
@@ -444,11 +466,12 @@ class TestGroupedEvaluation:
     @pytest.mark.parametrize("invalid", INVALID)
     @pytest.mark.parametrize("unsound_first", [True, False])
     def test_first_failing_config_in_list_order_raises(self, invalid, unsound_first):
+        invalid, message = invalid
         tail = [self.UNSOUND, invalid] if unsound_first else [invalid, self.UNSOUND]
+        expected = self.UNSOUND_RAISES if unsound_first else (ConfigError, message)
         corpus, labels = self.corpus()
         configs = self.VALID + tail + self.VALID
-        expected = self.raised(lambda: evaluate_config(self.AST, tail[0], corpus, labels))
-        assert expected[0] is (FalseNegativeError if tail[0] is self.UNSOUND else ConfigError)
+        assert self.raised(lambda: evaluate_config(self.AST, tail[0], corpus, labels)) == expected
         assert self.raised(lambda: evaluate_all(self.AST, configs, corpus, labels)) == expected
 
     def test_slices_of_one_config_give_the_unsliced_reports(self, monkeypatch):
