@@ -15,9 +15,15 @@ or segment is the row of the last key at or before its own, so SCOPED and
 KEYVALUE share one conjunction: mark the value fires' rows, look up the
 string fires' rows.
 Primitives reduce to byte compares, run edges and per-token DFA lockstep.
-The lockstep runs over shared per-chunk columns: the numeric tokens are
-found, ordered by length and their bytes gathered column by column once per
-index, and each range DFA then only steps its table over those columns.
+Every range primitive reads one numeric-token table, built once per index:
+each token's geometry comes from one run split of the numeric-class mask
+(the runs' end bytes settle almost every token; only the few they cannot
+settle have their own bytes read), and its record from one search at its
+end. The tokens are ordered by length and their bytes gathered column by
+column while many are still active; each range DFA steps its table over
+those columns until every token sits in the dead row, and the few longest
+tokens' tails byte by byte. A range fire carries its token's record, so its
+latch is a gather, not another search of the record starts.
 
 The index follows the reference scanner on every input, non-JSON included:
 a backslash outside a string is a plain byte, a close bracket at level 0 is
@@ -42,6 +48,9 @@ _QUOTE, _BACKSLASH, _COMMA, _NEWLINE = b'"\\,\n'
 _OPEN, _CLOSE = b"{}"
 _WHITESPACE = np.frombuffer(b" \t\r\n", dtype=np.uint8)
 _EMPTY = np.empty(0, dtype=np.int64)
+# Token columns are decoded while at least this many tokens are still
+# active; the tails of the few longest tokens are stepped byte by byte.
+_COLUMN_MIN_TOKENS = 64
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,6 +63,13 @@ def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The concatenated ranges [start, start + length), as int64 positions."""
     before = np.cumsum(lengths) - lengths
     return np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
+
+
+def _token_bytes(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of nonempty ranges [start, end), concatenated, and the
+    offset of each range's first one: the operands of a ufunc's reduceat."""
+    lengths = ends - starts
+    return _expand(starts, lengths), np.cumsum(lengths) - lengths
 
 
 def _start_keys(levels: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
@@ -70,8 +86,8 @@ class ScanIndex:
 
     raw: bytes  # the buffer, translated byte by byte by the 1-gram string matcher
     data: np.ndarray  # uint8 view of raw, not a copy
-    brackets: np.ndarray  # structural brackets; a close at level 0 is content, not listed
-    depth: np.ndarray  # nesting depth after each bracket
+    brackets: np.ndarray  # -1, then the structural brackets; a close at level 0 is content, not listed
+    depth: np.ndarray  # 0, then the nesting depth after each bracket
     open_pos: np.ndarray  # structural opens
     commas: np.ndarray  # structural commas
     comma_level: np.ndarray  # level of each structural comma
@@ -116,10 +132,10 @@ class ScanIndex:
         """`scanner.ScanEvent.level` at each position: the depth after the
         last bracket at or before it, plus one on a close bracket."""
         pos = np.asarray(positions, dtype=np.int64)
-        k = np.searchsorted(self.brackets, pos, side="right")
-        level = np.append(0, self.depth)[k]
-        on_close = (np.append(-1, self.brackets)[k] == pos) & ((self.data[pos] | 0x20) == _CLOSE)
-        return level + on_close
+        # The last bracket at or before each position; the leading -1 always is.
+        k = np.searchsorted(self.brackets, pos, side="right") - 1
+        on_close = (self.brackets[k] == pos) & ((self.data[pos] | 0x20) == _CLOSE)
+        return self.depth[k] + on_close
 
     def in_string_at(self, positions) -> np.ndarray:
         """`scanner.ScanEvent.in_string` at each position. Recomputes the
@@ -129,12 +145,14 @@ class ScanIndex:
         return (np.searchsorted(quotes, np.asarray(positions, dtype=np.int64)) & 1) == 1
 
     def numeric_tokens(self) -> tuple:
-        """Digit-bearing token geometry, shared by every range primitive.
+        """Digit-bearing token geometry and records, shared by every range
+        primitive.
 
-        Returns int64 (starts, ends_inclusive, last_digit) and the bool
-        heuristic_fire of each maximal run of numeric-class bytes
-        (digits, '+', '-', '.', 'e', 'E') that holds a digit and lies in a
-        kept record.
+        Returns int64 (starts, ends_inclusive, last_digit), the bool
+        heuristic_fire and the int64 record of each maximal run of
+        numeric-class bytes (digits, '+', '-', '.', 'e', 'E') that holds a
+        digit and lies in a kept record. The runs' end bytes settle almost
+        every token; only the few they cannot settle have their own bytes read.
         """
         if self._tokens is not None:
             return self._tokens
@@ -145,40 +163,67 @@ class ScanIndex:
         for c in b"+-.":
             num |= d == c
         starts, ends = _runs(num)
-        digit_starts, digit_ends = _runs(digit)
-        # Digit runs nest inside tokens: number each by its token, and keep
-        # the tokens that hold one, with their first and last digit.
-        token = np.searchsorted(starts, digit_starts, side="right") - 1
-        first = np.diff(token, prepend=-1) != 0
-        last = np.diff(token, append=len(starts)) != 0
-        starts, ends = starts[token[first]], ends[token[first]]
-        first_digit, last_digit = digit_starts[first], digit_ends[last] - 1
-        exp_pos = np.flatnonzero(exp)
-        last_exp = np.append(-1, exp_pos)[np.searchsorted(exp_pos, ends)]
-        record_start = self.record_start_of(ends - 1)
-        keep = (record_start >= 0) & (starts >= record_start)
-        starts, ends, last_digit = starts[keep], ends[keep], last_digit[keep]
-        heuristic = last_exp[keep] > first_digit[keep]
-        self._tokens = (starts, ends - 1, last_digit, heuristic)
+        last = ends - 1
+        # A token holds a digit when an end byte is one; only a token longer
+        # than two bytes with two non-digit ends needs its inner bytes read.
+        last_is_digit = digit[last]
+        has_digit = digit[starts] | last_is_digit
+        inner = np.flatnonzero(~has_digit & (ends - starts > 2))
+        pos, at = _token_bytes(starts[inner] + 1, last[inner])
+        has_digit[inner] = np.logical_or.reduceat(digit[pos], at)
+        starts, last, last_is_digit = starts[has_digit], last[has_digit], last_is_digit[has_digit]
+        record = self.record_of(last)
+        if self.n_records:
+            # Record -1 wraps to the last record, which starts past every
+            # token that ends before the first record.
+            keep = (starts >= self.rec_starts[record]) & (last < self.rec_ends[record])
+        else:
+            keep = np.zeros(len(record), dtype=bool)
+        starts, last, last_is_digit, record = starts[keep], last[keep], last_is_digit[keep], record[keep]
+        last_digit = last.copy()
+        fix = np.flatnonzero(~last_is_digit)
+        pos, at = _token_bytes(starts[fix], last[fix] + 1)
+        last_digit[fix] = np.maximum.reduceat(np.where(digit[pos], pos, -1), at)
+        # The exponent heuristic: an 'e'/'E' after the token's first digit,
+        # so only tokens holding an 'e' with a numeric byte before it.
+        heuristic = np.zeros(len(starts), dtype=bool)
+        exp_at = np.flatnonzero(exp[1:] & num[:-1]) + 1
+        if len(exp_at) and len(starts):
+            token = np.searchsorted(starts, exp_at, side="right") - 1
+            token = np.unique(token[(token >= 0) & (exp_at <= last[token])])
+            pos, at = _token_bytes(starts[token], last[token] + 1)
+            first_digit = np.minimum.reduceat(np.where(digit[pos], pos, len(d)), at)
+            heuristic[token] = np.maximum.reduceat(np.where(exp[pos], pos, -1), at) > first_digit
+        self._tokens = (starts, last, last_digit, heuristic, record)
         return self._tokens
 
     def token_columns(self) -> tuple:
         """The numeric tokens' bytes column by column, decoded once for every
         range primitive.
 
-        Returns the token order by length (stable) and, for each column j,
-        the first token in that order that is longer than j and the uint8
-        bytes at offset j of it and every token after it.
+        Returns the token order by length (stable); for each column j while
+        at least `_COLUMN_MIN_TOKENS` tokens are longer than j, the first token
+        in that order that is longer than j and the uint8 bytes at offset j
+        of it and every token after it; then the bytes left after the
+        columns of each of the last tokens in that order that outlast them.
         """
         if self._columns is None:
             starts, ends = self.numeric_tokens()[:2]
             lengths = ends - starts + 1
-            order = np.argsort(lengths, kind="stable")
+            width = int(lengths.max()) if len(lengths) else 0
+            # A stable sort of a uint16 key is a radix sort.
+            order = np.argsort(lengths.astype(np.uint16) if width < 1 << 16 else lengths, kind="stable")
             starts, lengths = starts[order], lengths[order]
-            width = int(lengths[-1]) if len(lengths) else 0
-            firsts = np.searchsorted(lengths, np.arange(width), side="right").tolist()
-            columns = [self.data[starts[lo:] + j] for j, lo in enumerate(firsts)]
-            self._columns = (order, firsts, columns)
+            n = len(order)
+            n_columns = int(lengths[n - _COLUMN_MIN_TOKENS]) if n >= _COLUMN_MIN_TOKENS else 0
+            firsts = np.searchsorted(lengths, np.arange(n_columns + 1), side="right").tolist()
+            columns = [self.data[starts[lo:] + j] for j, lo in enumerate(firsts[:-1])]
+            tail_lo = firsts[-1]
+            tails = [
+                self.raw[s + n_columns : s + length]
+                for s, length in zip(starts[tail_lo:].tolist(), lengths[tail_lo:].tolist())
+            ]
+            self._columns = (order, firsts[:-1], columns, tails)
         return self._columns
 
     def spans(self) -> list[RecordSpan]:
@@ -320,8 +365,8 @@ def build_scan_index(data: bytes) -> ScanIndex:
     return ScanIndex(
         raw=data,
         data=d,
-        brackets=pos[bracket_at],
-        depth=depth[bracket_at],
+        brackets=np.concatenate(([-1], pos[bracket_at])),
+        depth=np.concatenate(([0], depth[bracket_at])),
         open_pos=open_pos,
         commas=pos[is_comma],
         comma_level=depth[is_comma],
@@ -394,22 +439,36 @@ def string_fire_positions(index: ScanIndex, pattern: bytes, block: int) -> np.nd
 
 
 def number_fire_positions(index: ScanIndex, rdfa: RangeDfa):
-    """(fire offsets, attribution positions of the tokens' last digits)."""
-    _, ends, last_digit, heuristic = index.numeric_tokens()
-    order, firsts, columns = index.token_columns()
+    """(fire offsets, attribution positions of the tokens' last digits, the
+    tokens' records)."""
+    _, ends, last_digit, heuristic, record = index.numeric_tokens()
+    order, firsts, columns, tails = index.token_columns()
     # Lockstep the DFA over all tokens at once, column by column: the state
-    # of a token is a row of the byte-indexed table, row * 256 + byte its cell.
+    # of a token is a row of the byte-indexed table, row * 256 + byte its
+    # cell. The dead row absorbs, so the walk ends once every token is in it.
     table = rdfa.table.ravel()
+    dead = rdfa.dead
     states = np.zeros(len(order), dtype=np.intp)
     for lo, column in zip(firsts, columns):
         active = states[lo:]
         active <<= 8
         active += column
         states[lo:] = table[active]
+        if states[lo:].min() == dead:
+            break
+    if tails:
+        rows = rdfa.table.tolist()
+        for i, tail in enumerate(tails, len(order) - len(tails)):
+            state = int(states[i])
+            for byte in tail:
+                if state == dead:
+                    break
+                state = rows[state][byte]
+            states[i] = state
     accept = np.zeros(len(order), dtype=bool)
     accept[order] = rdfa.accept_mask[states]
-    fired = accept | heuristic
-    return (ends[fired] + 1), last_digit[fired]
+    fired = np.flatnonzero(accept | heuristic)
+    return ends[fired] + 1, last_digit[fired], record[fired]
 
 
 # --- cached per-primitive record results ---------------------------------------
@@ -418,11 +477,12 @@ def number_fire_positions(index: ScanIndex, rdfa: RangeDfa):
 class PrimitiveFires:
     """Per-record latch flags, and each fire's scope or segment for conjunction."""
 
-    def __init__(self, index: ScanIndex, attr_pos: np.ndarray):
+    def __init__(self, index: ScanIndex, attr_pos: np.ndarray, records: np.ndarray):
         self._index = index
         self.positions = attr_pos  # where scope/segment attribution is taken
+        self.records = records  # the kept record of each fire
         self.latch = np.zeros(index.n_records, dtype=bool)
-        self.latch[index.record_of(attr_pos)] = True  # fires lie inside kept records
+        self.latch[records] = True
         self._rows: dict = {}
 
     def rows(self, mode: Mode) -> np.ndarray:
@@ -454,15 +514,14 @@ class CorpusIndex:
         key = ("s", pattern, block)
         if key not in self._cache:
             pos = string_fire_positions(self.index, pattern, block)
-            self._cache[key] = PrimitiveFires(self.index, pos)
+            self._cache[key] = PrimitiveFires(self.index, pos, self.index.record_of(pos))
         return self._cache[key]
 
     def range_fires(self, bound) -> PrimitiveFires:
         key = ("v", bound)
         if key not in self._cache:
             rdfa = build_range_dfa(bound)
-            _, attr_pos = number_fire_positions(self.index, rdfa)
-            self._cache[key] = PrimitiveFires(self.index, attr_pos)
+            self._cache[key] = PrimitiveFires(self.index, *number_fire_positions(self.index, rdfa)[1:])
         return self._cache[key]
 
     def predicate_vector(self, leaf: PlanLeaf) -> np.ndarray:
@@ -484,9 +543,8 @@ class CorpusIndex:
                     # segment, a row of the start table, with a value fire.
                     marked = np.zeros(len(self.index.start_table(mode)), dtype=bool)
                     marked[value.rows(mode)] = True
-                    hits = string.positions[marked[string.rows(mode)]]
                     vector = np.zeros(self.n_records, dtype=bool)
-                    vector[self.index.record_of(hits)] = True
+                    vector[string.records[marked[string.rows(mode)]]] = True
             vector.flags.writeable = False
             self._cache[key] = vector
         return vector
@@ -562,3 +620,6 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22):
             buffer = buffer[:cut]
             index = drop_last_record(index)
         yield index, buffer
+        # Hold no reference while the next chunk is indexed, so a consumer
+        # that drops its own frees this one first.
+        del index

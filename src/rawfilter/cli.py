@@ -163,6 +163,7 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
             kept = [buffer[s:e] for s, e in zip(starts[lo:hi], ends[lo:hi])]
             kept.append(b"")  # the last record's newline
             out.write(b"\n".join(kept))
+        del corpus, index, buffer  # freed before the next chunk is read and indexed
     elapsed = max(time.perf_counter() - started, 1e-9)
     return {
         "records_in": records_in,

@@ -1,12 +1,13 @@
 import gc
 import io
 import random
+import time
 import weakref
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rawfilter import batch
 from rawfilter.batch import (
@@ -29,7 +30,7 @@ from rawfilter.filter import (
     validate_config,
 )
 from rawfilter.query import parse_query
-from rawfilter.ranges import NumericBound, RangeMatcher, build_range_dfa
+from rawfilter.ranges import NUMERIC_CLASS, NumericBound, RangeMatcher, build_range_dfa
 from rawfilter.scanner import ScannerState, iter_events, segment_records
 from rawfilter.strings import SubstringBlockMatcher, make_string_matcher
 
@@ -248,27 +249,31 @@ def _range_dfa(bounds):
 
 
 def _range_matcher_fires(data: bytes, spans, rdfa):
-    """(fire offsets, attribution positions) of `RangeMatcher` steps over the spans."""
-    fires, attrs = [], []
-    for span in spans:
+    """(fire offsets, attribution positions, records) of `RangeMatcher` steps
+    over the spans."""
+    fires, attrs, records = [], [], []
+    for k, span in enumerate(spans):
         payload = span.slice(data)
         matcher = RangeMatcher(rdfa)
         for ev in iter_events(payload):
             if matcher.step(ev):
                 fires.append(span.start + ev.offset)
                 attrs.append(span.start + _last_digit_before(payload, ev.offset))
+                records.append(k)
         if matcher.flush():
             fires.append(span.start + len(payload))
             attrs.append(span.start + _last_digit_before(payload, len(payload)))
-    return fires, attrs
+            records.append(k)
+    return fires, attrs, records
 
 
 @pytest.mark.parametrize("bounds", _BOUNDS)
 def test_number_fire_positions_match_matcher_steps(bounds):
     rdfa = _range_dfa(bounds)
     data = fuzz_stream(7)
-    fire_pos, attr_pos = number_fire_positions(build_scan_index(data), rdfa)
-    assert (fire_pos.tolist(), attr_pos.tolist()) == _range_matcher_fires(data, segment_records(data), rdfa)
+    fire_pos, attr_pos, records = number_fire_positions(build_scan_index(data), rdfa)
+    got = (fire_pos.tolist(), attr_pos.tolist(), records.tolist())
+    assert got == _range_matcher_fires(data, segment_records(data), rdfa)
 
 
 @pytest.mark.parametrize(
@@ -292,10 +297,88 @@ def test_range_bounds_share_one_token_decode(data, carry):
             drop_last_record(index)
         spans = index.spans()
         for rdfa in bounds:
-            fire_pos, attr_pos = number_fire_positions(index, rdfa)
-            assert (fire_pos.tolist(), attr_pos.tolist()) == _range_matcher_fires(data, spans, rdfa)
+            fire_pos, attr_pos, records = number_fire_positions(index, rdfa)
+            got = (fire_pos.tolist(), attr_pos.tolist(), records.tolist())
+            assert got == _range_matcher_fires(data, spans, rdfa)
             if carry:
                 assert (fire_pos <= index.rec_ends[-1]).all()
+
+
+TOKEN_BYTES = b'0123456789+-.eEx{}[]",:\n \\'
+
+
+def _reference_tokens(data: bytes, spans) -> list[tuple]:
+    """(start, end, last digit, heuristic, record) of every maximal run of
+    `ranges.NUMERIC_CLASS` bytes that holds a digit and lies in a span, by a
+    walk over the bytes."""
+    tokens, start = [], None
+    for i, b in enumerate(data + b" "):
+        if NUMERIC_CLASS[b]:
+            start = i if start is None else start
+            continue
+        if start is not None:
+            digits = [k for k in range(start, i) if data[k] in b"0123456789"]
+            inside = [k for k, span in enumerate(spans) if span.start <= start and i <= span.end]
+            if digits and inside:
+                heuristic = any(data[k] in b"eE" for k in range(digits[0], i))
+                tokens.append((start, i - 1, digits[-1], heuristic, inside[0]))
+        start = None
+    return tokens
+
+
+def _index_tokens(index) -> list[tuple]:
+    return list(zip(*(column.tolist() for column in index.numeric_tokens())))
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=80).map(lambda raw: bytes(TOKEN_BYTES[b % len(TOKEN_BYTES)] for b in raw)))
+@example(b'{"a":-.5e}\n')
+@example(b"[e5e,5.,1e,--]\n")
+@example(b"[1e+5, -e-]\n[.e.1.]\n")
+@example(b'{"a":1}\n{"b":12')  # the last token is cut off by the carry
+def test_numeric_tokens_match_a_byte_walk(data):
+    """Token geometry and records equal a walk over the numeric-class runs,
+    before and after a carry drops the last record (a stale cache fails)."""
+    index = build_scan_index(data)
+    spans = segment_records(data)
+    assert _index_tokens(index) == _reference_tokens(data, spans)
+    levels = [e.level for e in iter_events(data)]
+    assert index.level_at(np.arange(len(data))).tolist() == levels
+    if spans:
+        drop_last_record(index)
+        assert _index_tokens(index) == _reference_tokens(data, spans[:-1])
+        assert index.level_at(np.arange(len(data))).tolist() == levels
+
+
+def test_one_long_number_costs_linear_time():
+    """A 400k-digit value whose leading zeros keep every bound's DFA out of
+    its dead row: the few tokens that outlast the shared columns are stepped
+    byte by byte, so the fires equal the per-byte matcher's and the run costs
+    a few times a normal input of the same size, not a numpy step per byte
+    per bound."""
+    long_record = b'{"temperature":' + b"0" * 400_000 + b'12.5,"humidity":"x"}\n'
+    data = fuzz_stream(21, 20) + long_record + fuzz_stream(22, 20)
+    index = build_scan_index(data)
+    for bounds in [("0.7", "35.1"), (1345, 26282)]:
+        rdfa = _range_dfa(bounds)
+        got = tuple(column.tolist() for column in number_fire_positions(index, rdfa))
+        assert got == _range_matcher_fires(data, index.spans(), rdfa)
+
+    filler = fuzz_records(21, 3000)
+    data = filler + long_record + filler
+    normal = filler * -(-len(data) // len(filler))
+    ast = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
+    cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.SCOPED, 1)))
+
+    def best_of_3(stream):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            evaluate_config_batch(CorpusIndex(stream), ast, cfg)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    assert best_of_3(data) < 4 * best_of_3(normal)
 
 
 def _last_digit_before(payload: bytes, offset: int) -> int:
@@ -372,18 +455,43 @@ def test_corpus_index_is_freed_without_a_gc_pass():
         gc.enable()
 
 
+def test_run_frees_each_chunk_before_indexing_the_next(monkeypatch):
+    # Each chunk's index carries its token table, fire records and start
+    # tables; holding them while the next chunk is indexed raises peak memory.
+    from rawfilter import cli
+
+    ast = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
+    cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, 2)))
+    built = []
+    build = batch.build_scan_index
+
+    def build_checked(buffer):
+        assert [ref() for ref in built if ref() is not None] == []
+        index = build(buffer)
+        built.append(weakref.ref(index))
+        return index
+
+    monkeypatch.setattr(batch, "build_scan_index", build_checked)
+    gc.disable()
+    try:
+        cli._run_stream(ast, cfg, io.BytesIO(fuzz_stream(12)), io.BytesIO(), chunk_bytes=2048)
+    finally:
+        gc.enable()
+    assert len(built) > 3
+
+
 def test_position_tables_are_int64():
     # int32 positions wrap past 2 GiB, and eval/explore index whole files;
     # checking the dtypes on a small input needs no 2 GiB allocation.
     index = build_scan_index(fuzz_stream(13, 40))
     tables = {"rec_starts": index.rec_starts, "rec_ends": index.rec_ends, "open_pos": index.open_pos}
     tables.update(scope_starts=index.start_table(Mode.SCOPED), segment_starts=index.start_table(Mode.KEYVALUE))
-    starts, ends, last_digit, heuristic = index.numeric_tokens()
-    tables.update(token_starts=starts, token_ends=ends, token_last_digit=last_digit)
+    starts, ends, last_digit, heuristic, records = index.numeric_tokens()
+    tables.update(token_starts=starts, token_ends=ends, token_last_digit=last_digit, token_records=records)
     for block in (1, 2, "N"):
         tables[f"string_fires[{block}]"] = string_fire_positions(index, b"temperature", block)
-    fires, attrs = number_fire_positions(index, build_range_dfa(NumericBound(Decimal(0), Decimal(100))))
-    tables.update(range_fires=fires, range_attrs=attrs)
+    fires, attrs, fire_records = number_fire_positions(index, build_range_dfa(NumericBound(Decimal(0), Decimal(100))))
+    tables.update(range_fires=fires, range_attrs=attrs, range_records=fire_records)
     assert all(len(v) for v in tables.values()), {k: len(v) for k, v in tables.items()}
     assert {k: str(v.dtype) for k, v in tables.items() if v.dtype != np.int64} == {}
     assert heuristic.dtype == bool
