@@ -32,7 +32,7 @@ from .filter import (
 )
 from .oracle import eval_exact, label_dataset, parse_json
 from .query import parse_query
-from .ranges import NumericBound, RangeDfa, derive_range_regex
+from .ranges import NumericBound, RangeDfa, derive_range_dfa
 from .scanner import RecordSpan, ScanEvent, ScannerState, scan_byte, segment_records
 from .strings import ExactMatcher, SubstringBlockMatcher, build_substring_set
 
@@ -62,7 +62,7 @@ __all__ = [
     "build_scan_index",
     "build_substring_set",
     "compile_filter",
-    "derive_range_regex",
+    "derive_range_dfa",
     "enumerate_configs",
     "eval_exact",
     "evaluate_config",

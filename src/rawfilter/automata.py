@@ -1,49 +1,15 @@
 """Small finite-automata toolkit over symbolic alphabets.
 
-Supports epsilon-NFAs, subset construction, partition-refinement
-minimization and language-equivalence checks via product traversal. The
-alphabet is any hashable symbol set; range filters use single characters
-('0'..'9', '.', '-', '+', 'e').
+Deterministic automata with partition-refinement minimization, plus the
+product traversals (language equivalence, intersection) that tests check
+constructions against. The alphabet is any hashable symbol set; range
+filters use single characters ('0'..'9', '.', '-', '+', 'e').
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Nfa:
-    """Nondeterministic automaton with optional epsilon moves."""
-
-    alphabet: tuple
-    start: int = 0
-    n_states: int = 1
-    accepting: set = field(default_factory=set)
-    transitions: dict = field(default_factory=dict)  # (state, symbol) -> set(states)
-    epsilon: dict = field(default_factory=dict)  # state -> set(states)
-
-    def add_state(self) -> int:
-        s = self.n_states
-        self.n_states += 1
-        return s
-
-    def add_transition(self, src: int, symbol, dst: int) -> None:
-        self.transitions.setdefault((src, symbol), set()).add(dst)
-
-    def add_epsilon(self, src: int, dst: int) -> None:
-        self.epsilon.setdefault(src, set()).add(dst)
-
-    def eps_closure(self, states) -> frozenset:
-        seen = set(states)
-        todo = list(states)
-        while todo:
-            s = todo.pop()
-            for t in self.epsilon.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return frozenset(seen)
+from dataclasses import dataclass
 
 
 @dataclass
@@ -76,34 +42,6 @@ class Dfa:
             if state is None:
                 return False
         return bool(self.accepting[state])
-
-
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction. Unreachable subsets are never materialized."""
-    start = nfa.eps_closure({nfa.start})
-    index = {start: 0}
-    order = [start]
-    transitions: list[dict] = [{}]
-    accepting = [bool(start & nfa.accepting)]
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        for sym in nfa.alphabet:
-            nxt = set()
-            for s in subset:
-                nxt |= nfa.transitions.get((s, sym), set())
-            if not nxt:
-                continue
-            closed = nfa.eps_closure(nxt)
-            if closed not in index:
-                index[closed] = len(order)
-                order.append(closed)
-                transitions.append({})
-                accepting.append(bool(closed & nfa.accepting))
-                queue.append(closed)
-            transitions[src][sym] = index[closed]
-    return Dfa(nfa.alphabet, len(order), transitions, accepting)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -158,10 +96,6 @@ def minimize(dfa: Dfa) -> Dfa:
         # Empty language: keep a single rejecting state so start exists.
         return Dfa(dfa.alphabet, 1, [{}], [False])
     return Dfa(dfa.alphabet, len(remap), transitions, accepting)
-
-
-def determinize_and_minimize(nfa: Nfa) -> Dfa:
-    return minimize(determinize(nfa))
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

@@ -33,7 +33,7 @@ to the end of its line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,9 +95,10 @@ class ScanIndex:
     rec_ends: np.ndarray  # exclusive
     rec_malformed: np.ndarray  # bool
 
-    _starts: dict = field(default_factory=dict)  # Mode -> start table
-    _tokens: tuple | None = None
-    _columns: tuple | None = None
+    # Caches built on first use; a copy made by `dataclasses.replace` starts empty.
+    _starts: dict = field(init=False, default_factory=dict)  # Mode -> start table
+    _tokens: tuple | None = field(init=False, default=None)
+    _columns: tuple | None = field(init=False, default=None)
 
     @property
     def n_records(self) -> int:
@@ -246,15 +247,14 @@ class ScanIndex:
 
 
 def drop_last_record(index: ScanIndex) -> ScanIndex:
-    """Remove the final record span in place (chunk carry). Primitives then
-    ignore every position past the last kept record."""
-    index.rec_starts = index.rec_starts[:-1]
-    index.rec_ends = index.rec_ends[:-1]
-    index.rec_malformed = index.rec_malformed[:-1]
-    index._starts = {}
-    index._tokens = None
-    index._columns = None
-    return index
+    """A copy of the index without its final record span (chunk carry).
+    Primitives then ignore every position past the last kept record."""
+    return replace(
+        index,
+        rec_starts=index.rec_starts[:-1],
+        rec_ends=index.rec_ends[:-1],
+        rec_malformed=index.rec_malformed[:-1],
+    )
 
 
 def _structural_bytes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -70,6 +70,8 @@ def parse_gen_spec(text: str) -> GenSpec:
                     raise ConfigError(f"line {lineno}: layout must be senml or flat")
             elif parts[0] == "records":
                 records = int(parts[1])
+                if records < 0:
+                    raise ConfigError(f"line {lineno}: records must be >= 0")
             elif parts[0] == "seed":
                 seed = int(parts[1])
             elif parts[0] == "attr":
@@ -80,14 +82,10 @@ def parse_gen_spec(text: str) -> GenSpec:
                 name, kind = parts[1], parts[2]
                 if kind not in ("int", "decimal"):
                     raise ConfigError(f"line {lineno}: kind must be int or decimal")
-                attrs.append(
-                    AttrSpec(
-                        name, kind,
-                        Decimal(parts[3]), Decimal(parts[4]),
-                        Decimal(parts[6]), Decimal(parts[7]),
-                        float(parts[9]),
-                    )
-                )
+                bounds = [Decimal(parts[i]) for i in (3, 4, 6, 7)]
+                if not all(b.is_finite() for b in bounds):
+                    raise ConfigError(f"line {lineno}: domain and range bounds must be finite")
+                attrs.append(AttrSpec(name, kind, *bounds, float(parts[9])))
             else:
                 raise ConfigError(f"line {lineno}: unknown directive {parts[0]!r}")
         except (IndexError, ValueError, ArithmeticError) as exc:

@@ -99,6 +99,8 @@ class CostModel:
                     raise ConfigError(f"cost model line {lineno}: {raw!r}") from exc
                 if key not in names:
                     raise ConfigError(f"cost model line {lineno}: unknown weight {key!r}")
+                if not math.isfinite(weights[key]):
+                    raise ConfigError(f"cost model line {lineno}: weight {key!r} must be finite")
         return cls(**weights)
 
 

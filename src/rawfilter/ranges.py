@@ -22,7 +22,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .automata import Dfa, Nfa, determinize_and_minimize
+from .automata import Dfa, minimize
 from .errors import ConfigError
 
 DIGITS = "0123456789"
@@ -256,12 +256,14 @@ class _Branch:
         return pair[0] == _SAT and pair[1][0] != "dead"
 
 
-def derive_range_regex(bound: NumericBound) -> Nfa:
+def derive_range_dfa(bound: NumericBound) -> Dfa:
     """Interval automaton over plain decimal spellings of in-range values.
 
     The sign splits the automaton into one branch for '-'-prefixed magnitudes
     and one for unsigned tokens; each branch refines its bounds digit by
-    digit as described in the module docstring.
+    digit as described in the module docstring. A state is one (branch,
+    comparison pair) and has at most one successor per symbol, so the
+    search yields a DFA; states are numbered breadth-first.
     """
     lo, up = bound.lower, bound.upper
     unsigned = _Branch(lo, up)
@@ -271,39 +273,36 @@ def derive_range_regex(bound: NumericBound) -> Nfa:
         -lo if lo is not None else None,
     )
 
-    nfa = Nfa(alphabet=RANGE_ALPHABET)
-    index: dict = {("start",): 0}
-    todo = [("start",)]
-    while todo:
-        key = todo.pop()
-        src = index[key]
-        succs = []
+    def successor(key, ch):
+        """The key reached on `ch`, or None for the dead sink."""
         if key[0] == "start":
-            if not unsigned.empty:
-                init = unsigned.initial()
-                if unsigned.accepts(init):
-                    nfa.accepting.add(src)
-                for ch in DIGITS + ".":
-                    pair = unsigned.step(init, ch)
-                    if pair is not None:
-                        succs.append((ch, ("u",) + pair))
-            if not neg.empty:
-                succs.append(("-", ("n",) + neg.initial()))
-        else:
-            branch = unsigned if key[0] == "u" else neg
-            pair = key[1:]
-            if branch.accepts(pair):
-                nfa.accepting.add(src)
-            for ch in RANGE_ALPHABET:
-                nxt = branch.step(pair, ch)
-                if nxt is not None:
-                    succs.append((ch, (key[0],) + nxt))
-        for ch, nkey in succs:
-            if nkey not in index:
-                index[nkey] = nfa.add_state()
-                todo.append(nkey)
-            nfa.add_transition(src, ch, index[nkey])
-    return nfa
+            if ch == "-":
+                return None if neg.empty else ("n",) + neg.initial()
+            if unsigned.empty or ch not in DIGITS + ".":
+                return None
+            key = ("u",) + unsigned.initial()
+        nxt = (unsigned if key[0] == "u" else neg).step(key[1:], ch)
+        return None if nxt is None else key[:1] + nxt
+
+    def accepts(key) -> bool:
+        if key[0] == "start":
+            return not unsigned.empty and unsigned.accepts(unsigned.initial())
+        return (unsigned if key[0] == "u" else neg).accepts(key[1:])
+
+    keys = [("start",)]
+    index = {keys[0]: 0}
+    transitions: list[dict] = []
+    for key in keys:  # grows while it is walked: a breadth-first search
+        row = {}
+        for ch in RANGE_ALPHABET:
+            nkey = successor(key, ch)
+            if nkey is not None:
+                if nkey not in index:
+                    index[nkey] = len(keys)
+                    keys.append(nkey)
+                row[ch] = index[nkey]
+        transitions.append(row)
+    return Dfa(RANGE_ALPHABET, len(keys), transitions, [accepts(key) for key in keys])
 
 
 def _merged_input_classes(dfa: Dfa) -> int:
@@ -319,7 +318,7 @@ class RangeDfa:
 
     def __init__(self, bound: NumericBound):
         self.bound = bound
-        self.dfa = determinize_and_minimize(derive_range_regex(bound))
+        self.dfa = minimize(derive_range_dfa(bound))
         self.state_count = self.dfa.n_states
         self.input_classes = _merged_input_classes(self.dfa)
         self.dead = self.state_count

@@ -294,7 +294,7 @@ def test_range_bounds_share_one_token_decode(data, carry):
         index = build_scan_index(data)
         if carry:
             number_fire_positions(index, bounds[0])
-            drop_last_record(index)
+            index = drop_last_record(index)
         spans = index.spans()
         for rdfa in bounds:
             fire_pos, attr_pos, records = number_fire_positions(index, rdfa)
@@ -345,9 +345,21 @@ def test_numeric_tokens_match_a_byte_walk(data):
     levels = [e.level for e in iter_events(data)]
     assert index.level_at(np.arange(len(data))).tolist() == levels
     if spans:
-        drop_last_record(index)
+        index = drop_last_record(index)
         assert _index_tokens(index) == _reference_tokens(data, spans[:-1])
         assert index.level_at(np.arange(len(data))).tolist() == levels
+
+
+def test_carry_trim_leaves_the_index_it_copies():
+    """A carry returns a trimmed copy with empty caches; the index it was
+    taken from keeps its records and its cached token table."""
+    data = b'{"a":1}\n{"b":12'
+    index = build_scan_index(data)
+    tokens = index.numeric_tokens()
+    trimmed = drop_last_record(index)
+    assert (index.n_records, trimmed.n_records) == (2, 1)
+    assert index.numeric_tokens() is tokens
+    assert _index_tokens(trimmed) == _reference_tokens(data, segment_records(data)[:-1])
 
 
 def test_one_long_number_costs_linear_time():

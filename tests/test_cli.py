@@ -254,18 +254,30 @@ class TestExplore:
         ("explore", "--cap", "-3"),
         ("bench", "--repetitions", "0"),
         ("explore", "--modes", "OMIT"),  # parses, but leaves no valid configuration
+        ("compile", "--cost-weights", "nan.weights"),
+        ("eval", "--cost-weights", "nan.weights"),
+        ("explore", "--cost-weights", "nan.weights"),
     ],
 )
 def test_bad_option_value_exits_2(ws, capsys, command, option, value):
+    query_config = ["--query", ws / "q0.txt", "--config", ws / "scoped.cfg"]
     if command == "explore":
         argv = ["explore", "--query", ws / "q0.txt", "--dataset", ws / "data.ndjson", "--out", ws / "r.csv"]
+    elif command == "compile":
+        argv = ["compile", *query_config, "--out", ws / "r.csv"]
+    elif command == "eval":
+        argv = ["eval", *query_config, "--dataset", ws / "data.ndjson", "--out", ws / "r.csv"]
     else:
         desc = ws / "f.desc"
-        assert run_cli("compile", "--query", ws / "q0.txt", "--config", ws / "scoped.cfg", "--out", desc) == 0
+        assert run_cli("compile", *query_config, "--out", desc) == 0
         argv = ["bench", "--filter", desc, "--dataset", ws / "data.ndjson"]
     if value == "OMIT":
         assert run_cli(*argv, option, value) == 2
         assert capsys.readouterr().err == "error: no valid configuration with modes OMIT\n"
+    elif option == "--cost-weights":
+        (ws / value).write_text("compare_bits 2\ngram_bits nan\n")
+        assert run_cli(*argv, option, ws / value) == 2
+        assert capsys.readouterr().err == "error: cost model line 2: weight 'gram_bits' must be finite\n"
     else:
         with pytest.raises(SystemExit) as exited:
             run_cli(*argv, option, value)
@@ -286,6 +298,25 @@ class TestGen:
         spec = tmp_path / "bad.spec"
         spec.write_text("layout nothing\n")
         assert run_cli("gen", "--spec", spec, "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in (3, 4, 6, 7) for v in ("NaN", "sNaN", "Infinity", "-Infinity")]
+        + [(None, "-1")],
+    )
+    def test_out_of_domain_spec_value_exits_2(self, tmp_path, capsys, field, value):
+        # field indexes the words of the temperature attr line (its four
+        # decimals); None puts the value in the records line instead.
+        lines = GEN_SPEC.splitlines()
+        lineno = 3 if field is None else 5
+        words = lines[lineno - 1].split()
+        words[1 if field is None else field] = value
+        lines[lineno - 1] = " ".join(words)
+        spec = tmp_path / "bad.spec"
+        spec.write_text("\n".join(lines))
+        assert run_cli("gen", "--spec", spec, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith(f"error: line {lineno}: ")
+        assert not (tmp_path / "x").exists()
 
 
 def test_bench_reports_throughput(ws, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from decimal import Decimal
 
@@ -5,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rawfilter.automata import Nfa, determinize, determinize_and_minimize, equivalent, intersect, minimize
+from rawfilter.automata import equivalent, intersect, minimize
 from rawfilter.errors import ConfigError
 from rawfilter.ranges import (
+    DIGITS,
     NumberScanState,
     NumericBound,
     RangeDfa,
     RangeMatcher,
-    derive_range_regex,
+    derive_range_dfa,
     number_step,
 )
 from rawfilter.scanner import iter_events
@@ -24,8 +26,8 @@ def dfa_for(lower, upper, kind="integer"):
     return RangeDfa(NumericBound(lo, up, kind))
 
 
-def eval_tokens(dfa: RangeDfa, tokens: list[str]) -> np.ndarray:
-    """Bulk DFA verdicts via the byte table (no exponent heuristic)."""
+def token_matrix(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Tokens as zero-padded byte rows, with their lengths."""
     width = max(len(t) for t in tokens)
     mat = np.zeros((len(tokens), width), dtype=np.uint8)
     lengths = np.zeros(len(tokens), dtype=np.int64)
@@ -33,11 +35,64 @@ def eval_tokens(dfa: RangeDfa, tokens: list[str]) -> np.ndarray:
         raw = t.encode()
         mat[i, : len(raw)] = np.frombuffer(raw, dtype=np.uint8)
         lengths[i] = len(raw)
-    states = np.zeros(len(tokens), dtype=np.int16)
-    for j in range(width):
+    return mat, lengths
+
+
+def eval_tokens(dfa: RangeDfa, tokens) -> np.ndarray:
+    """Bulk DFA verdicts via the byte table (no exponent heuristic); tokens
+    is a list of strings or a `token_matrix`."""
+    mat, lengths = token_matrix(tokens) if isinstance(tokens, list) else tokens
+    states = np.zeros(len(lengths), dtype=np.int16)
+    for j in range(mat.shape[1]):
         active = lengths > j
         states[active] = dfa.table[states[active], mat[active, j]]
     return dfa.accept_mask[states]
+
+
+def seeded_bounds(count: int = 408, seed: int = 14) -> list[NumericBound]:
+    """The workloads' four intervals, then seeded closed, open-sided,
+    negative and decimal ones."""
+    bounds = [
+        NumericBound.from_literals(lo, hi)
+        for lo, hi in (("0.7", "35.1"), ("20", "69"), ("0", "5153"), ("83.36", "3322.67"))
+    ]
+    rng = random.Random(seed)
+
+    def literal(decimal: bool) -> str:
+        if not decimal:
+            return str(rng.randint(-10 ** rng.randint(1, 5), 10 ** rng.randint(1, 6)))
+        places = rng.randint(1, 3)
+        value = Decimal(rng.randint(-(10 ** rng.randint(1, 7)), 10 ** rng.randint(1, 8)))
+        return str(value.scaleb(-places))
+
+    while len(bounds) < count:
+        decimal = rng.random() < 0.5
+        a, b = literal(decimal), literal(decimal)
+        if Decimal(a) > Decimal(b):
+            a, b = b, a
+        shape = rng.randrange(4)
+        lo = None if shape == 2 else a
+        hi = None if shape == 1 else (a if shape == 3 else b)
+        bounds.append(NumericBound.from_literals(lo, hi))
+    return bounds
+
+
+def seeded_tokens(count: int = 7000, seed: int = 15) -> list[str]:
+    """Plain, signed, zero-padded and fractional spellings plus malformed
+    numeric-class runs ('+', 'e', doubled signs and dots)."""
+    rng = random.Random(seed)
+    tokens = ["0", "-0", ".", "-", "+", "e", "0.", ".5", "-.5", "5.", "--1", "1..2", "1e5", "+35"]
+    while len(tokens) < count:
+        sign = rng.choice(["", "", "", "-", "+"])
+        whole = "0" * rng.choice([0, 0, 0, 1, 2]) + str(rng.randint(0, 10 ** rng.randint(0, 8)))
+        frac = rng.choice(["", "", "."])
+        if rng.random() < 0.4:
+            frac = "." + "".join(rng.choice(DIGITS) for _ in range(rng.randint(1, 4)))
+        tokens.append(sign + whole + frac)
+    return tokens
+
+
+BOUNDS = seeded_bounds()
 
 
 class TestLowerBound35:
@@ -142,44 +197,18 @@ def test_empty_interval_rejected():
 
 
 class TestAutomataToolkit:
-    def test_redundant_alternative_collapses(self):
-        # (a|a) determinizes and minimizes to two states accepting exactly "a"
-        nfa = Nfa(alphabet=("a",))
-        s1, s2 = nfa.add_state(), nfa.add_state()
-        nfa.add_transition(0, "a", s1)
-        nfa.add_transition(0, "a", s2)
-        nfa.accepting = {s1, s2}
-        dfa = determinize_and_minimize(nfa)
-        assert dfa.n_states == 2
-        assert dfa.accepts("a") and not dfa.accepts("") and not dfa.accepts("aa")
-
-    def test_epsilon_closure(self):
-        nfa = Nfa(alphabet=("a", "b"))
-        s1, s2 = nfa.add_state(), nfa.add_state()
-        nfa.add_epsilon(0, s1)
-        nfa.add_transition(s1, "a", s2)
-        nfa.accepting = {s2}
-        dfa = determinize_and_minimize(nfa)
-        assert dfa.accepts("a") and not dfa.accepts("b")
-
-    def test_minimization_preserves_language(self):
-        nfa = derive_range_regex(NumericBound(Decimal(35), None))
-        det = determinize(nfa)
-        minimal = minimize(det)
-        assert minimal.n_states <= det.n_states
-        assert equivalent(det, minimal)
+    @pytest.mark.parametrize("bound", BOUNDS[:50], ids=lambda b: b.notation())
+    def test_minimization_preserves_language(self, bound):
+        derived = derive_range_dfa(bound)
+        minimal = minimize(derived)
+        assert minimal.n_states <= derived.n_states
+        assert equivalent(derived, minimal)
 
     def test_product_of_one_sided_bounds_equals_direct(self):
         for lo, hi in [(35, 400), (7, 7), ("0.7", "35.1"), (0, 5153), (140, 3155)]:
-            lower_only = determinize_and_minimize(
-                derive_range_regex(NumericBound(Decimal(lo), None))
-            )
-            upper_only = determinize_and_minimize(
-                derive_range_regex(NumericBound(None, Decimal(hi)))
-            )
-            direct = determinize_and_minimize(
-                derive_range_regex(NumericBound(Decimal(lo), Decimal(hi)))
-            )
+            lower_only = minimize(derive_range_dfa(NumericBound(Decimal(lo), None)))
+            upper_only = minimize(derive_range_dfa(NumericBound(None, Decimal(hi))))
+            direct = minimize(derive_range_dfa(NumericBound(Decimal(lo), Decimal(hi))))
             assert equivalent(intersect(lower_only, upper_only), direct), (lo, hi)
 
 
@@ -284,3 +313,19 @@ def test_number_step_is_total_over_octets():
     state = NumberScanState()
     for ev in iter_events(bytes(range(256))):
         number_step(state, dfa, ev)
+
+
+def test_range_dfas_are_pinned():
+    # Any change to the automaton of any of these bounds shows here.
+    tokens = token_matrix(seeded_tokens())
+    digest = hashlib.sha256()
+    for bound in BOUNDS:
+        dfa = RangeDfa(bound)
+        verdicts = np.packbits(eval_tokens(dfa, tokens)).tobytes()
+        digest.update(f"{bound.notation()}|{dfa.state_count}|{dfa.input_classes}|".encode())
+        digest.update(verdicts)
+    kinds = {(b.lower is None, b.upper is None) for b in BOUNDS}
+    assert kinds == {(False, False), (True, False), (False, True)}
+    assert any(b.lower is not None and b.lower < 0 for b in BOUNDS)
+    assert any(b.kind == "decimal" for b in BOUNDS)
+    assert digest.hexdigest() == "338c6cc96e2610b0008968b93b3cc1c629f56a226be4e1c0f882d1f0f7adf058"
