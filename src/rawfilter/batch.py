@@ -535,7 +535,7 @@ class CorpusIndex:
             if mode is Mode.VALUE_ONLY:
                 vector = value.latch.view()
             else:
-                string = self.string_fires(pred.attr, block)
+                string = self.string_fires(pred.pattern, block)
                 if mode is Mode.FLAT:
                     vector = string.latch & value.latch
                 else:
@@ -579,7 +579,7 @@ def primitive_fire_counts(corpus: CorpusIndex, ast: QueryAst, cfg) -> dict:
         value = corpus.range_fires(leaf.pred.bound)
         counts[leaf.pred.bound.notation()] = int(value.latch.sum())
         if leaf.block is not None:
-            string = corpus.string_fires(leaf.pred.attr, leaf.block)
+            string = corpus.string_fires(leaf.pred.pattern, leaf.block)
             counts[string_notation(leaf)] = int(string.latch.sum())
     return counts
 

@@ -93,12 +93,12 @@ def render_descriptor(query_text: str, ast, cfg: FilterConfig, model: CostModel)
             f"input_classes={dfa.input_classes}"
         )
         if leaf.block is not None:
-            attr, b = leaf.pred.attr, leaf.block
-            grams = sorted(build_substring_set(attr, b))
+            pattern, b = leaf.pred.pattern, leaf.block
+            grams = sorted(build_substring_set(pattern, b))
             gram_text = ",".join(g.decode("latin-1") for g in grams)
             lines.append(
-                f"primitive: {string_notation(leaf)} N={len(attr.encode())} B={b} "
-                f"grams={len(grams)} [{gram_text}] cost={string_cost(attr, b, model):g}"
+                f"primitive: {string_notation(leaf)} N={len(pattern)} B={b} "
+                f"grams={len(grams)} [{gram_text}] cost={string_cost(pattern, b, model):g}"
             )
     return "\n".join(lines) + "\n"
 

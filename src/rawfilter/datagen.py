@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 
 from .errors import ConfigError
 
@@ -80,6 +80,8 @@ def parse_gen_spec(text: str) -> GenSpec:
                         f"line {lineno}: expected 'attr NAME KIND LO HI inrange LO HI p P'"
                     )
                 name, kind = parts[1], parts[2]
+                if '"' in name:
+                    raise ConfigError(f"line {lineno}: a query cannot spell the name {name!r}")
                 if kind not in ("int", "decimal"):
                     raise ConfigError(f"line {lineno}: kind must be int or decimal")
                 bounds = [Decimal(parts[i]) for i in (3, 4, 6, 7)]
@@ -109,21 +111,25 @@ def _unit_ceil(x: Decimal) -> int:
 
 
 class _AttrDrawer:
-    """Integer-unit windows for in-range and out-of-range draws."""
+    """Integer-unit windows for in-range and out-of-range draws, computed
+    and drawn in a context precise enough to keep every bound exact."""
 
     def __init__(self, spec: AttrSpec):
         self.spec = spec
+        bounds = (spec.domain_lo, spec.domain_hi, spec.range_lo, spec.range_hi)
+        self.context = Context(prec=max(28, max(len(format(abs(b), "f")) for b in bounds) + 3))
         u = spec.units
-        self.inside = (
-            _unit_ceil(max(spec.range_lo, spec.domain_lo) * u),
-            _unit_floor(min(spec.range_hi, spec.domain_hi) * u),
-        )
-        lo_edge = spec.range_lo * u
-        below_hi = int(lo_edge) - 1 if lo_edge == int(lo_edge) else _unit_floor(lo_edge)
-        hi_edge = spec.range_hi * u
-        above_lo = int(hi_edge) + 1 if hi_edge == int(hi_edge) else _unit_ceil(hi_edge)
-        self.below = (_unit_ceil(spec.domain_lo * u), below_hi)
-        self.above = (above_lo, _unit_floor(spec.domain_hi * u))
+        with localcontext(self.context):
+            self.inside = (
+                _unit_ceil(max(spec.range_lo, spec.domain_lo) * u),
+                _unit_floor(min(spec.range_hi, spec.domain_hi) * u),
+            )
+            lo_edge = spec.range_lo * u
+            below_hi = int(lo_edge) - 1 if lo_edge == int(lo_edge) else _unit_floor(lo_edge)
+            hi_edge = spec.range_hi * u
+            above_lo = int(hi_edge) + 1 if hi_edge == int(hi_edge) else _unit_ceil(hi_edge)
+            self.below = (_unit_ceil(spec.domain_lo * u), below_hi)
+            self.above = (above_lo, _unit_floor(spec.domain_hi * u))
         if spec.p > 0 and self.inside[0] > self.inside[1]:
             raise ConfigError(f"attr {spec.name}: no representable in-range value")
         self.outside_sizes = tuple(max(0, hi - lo + 1) for lo, hi in (self.below, self.above))
@@ -137,7 +143,7 @@ class _AttrDrawer:
         else:
             pick = rng.randrange(sum(self.outside_sizes))
             lo, hi = self.below if pick < self.outside_sizes[0] else self.above
-        value = Decimal(rng.randint(lo, hi)) / self.spec.units
+        value = self.context.divide(Decimal(rng.randint(lo, hi)), self.spec.units)
         return value, inside
 
 
@@ -147,6 +153,7 @@ def generate_records(spec: GenSpec, seed: int | None = None):
 
     rng = random.Random(spec.seed if seed is None else seed)
     drawers = [_AttrDrawer(a) for a in spec.attrs]
+    keys = [json.dumps(a.name, ensure_ascii=False) for a in spec.attrs]
     for i in range(spec.records):
         matches = {}
         parts = []
@@ -155,9 +162,9 @@ def generate_records(spec: GenSpec, seed: int | None = None):
             matches[drawer.spec.name] = inside
             if spec.layout == "senml":
                 unit = _UNITS[k % len(_UNITS)]
-                parts.append(f'{{"v":"{value}","u":"{unit}","n":"{drawer.spec.name}"}}')
+                parts.append(f'{{"v":"{value}","u":"{unit}","n":{keys[k]}}}')
             else:
-                parts.append(f'"{drawer.spec.name}":{value}')
+                parts.append(f"{keys[k]}:{value}")
         if spec.layout == "senml":
             record = f'{{"e":[{",".join(parts)}],"bt":{_BASE_TIME + i}}}'
         else:
@@ -182,5 +189,5 @@ def generate_dataset(spec: GenSpec, seed: int | None = None) -> tuple[bytes, byt
 def query_for_spec(spec: GenSpec) -> str:
     """The AND query whose predicates are the planted ranges."""
     return " AND ".join(
-        f'({a.range_lo} <= "{a.name}" <= {a.range_hi})' for a in spec.attrs
+        f'({a.range_lo:f} <= "{a.name}" <= {a.range_hi:f})' for a in spec.attrs
     )

@@ -131,7 +131,7 @@ def leaf_cost(leaf: PlanLeaf, model: CostModel = DEFAULT_COST_MODEL) -> float:
     cost = range_cost(leaf.pred.bound, model)
     if leaf.mode is Mode.VALUE_ONLY:
         return cost
-    cost += string_cost(leaf.pred.attr, leaf.block, model)
+    cost += string_cost(leaf.pred.pattern, leaf.block, model)
     return cost + (model.combinator if leaf.mode is Mode.FLAT else 2 * model.combinator)
 
 
@@ -199,9 +199,9 @@ def enumerate_configs(ast: QueryAst, options: ExplorerOptions = ExplorerOptions(
     longer than an attribute stands for its N."""
     per_leaf: list[list[PredicateConfig]] = []
     for leaf in ast.leaves():
-        n = len(leaf.attr.encode())
+        n = len(leaf.pattern)
         blocks = dict.fromkeys(
-            resolve_block_len(leaf.attr, b if b == "N" else min(int(b), n)) for b in options.blocks
+            resolve_block_len(leaf.pattern, b if b == "N" else min(int(b), n)) for b in options.blocks
         )
         per_leaf.append([
             PredicateConfig(mode, b)

@@ -161,7 +161,7 @@ def validate_config(ast: QueryAst, cfg: FilterConfig) -> Plan:
 
 def plan_leaf(pred: Predicate, pc: PredicateConfig) -> PlanLeaf:
     """The plan leaf of a kept predicate, its block resolved to bytes."""
-    block = None if pc.block is None else resolve_block_len(pred.attr, pc.block)
+    block = None if pc.block is None else resolve_block_len(pred.pattern, pc.block)
     return PlanLeaf(pred, pc.mode, block)
 
 
@@ -207,7 +207,7 @@ def compile_filter(ast: QueryAst, cfg: FilterConfig) -> RawFilterExpr:
         range_leaf = Leaf(RangeMatcher(build_range_dfa(node.pred.bound)), "range")
         string_leaf = None
         if node.mode is not Mode.VALUE_ONLY:
-            string_leaf = Leaf(make_string_matcher(node.pred.attr, node.block), "string")
+            string_leaf = Leaf(make_string_matcher(node.pred.pattern, node.block), "string")
         pairs.append((string_leaf, range_leaf))
     leaves = [leaf for pair in pairs for leaf in pair if leaf is not None]
     return RawFilterExpr(leaves, plan, pairs)
@@ -239,12 +239,10 @@ def _plan_truth(expr: RawFilterExpr) -> bool:
     return walk(expr.plan)
 
 
-def filter_record(expr: RawFilterExpr, record: bytes, events=None) -> bool:
+def filter_record(expr: RawFilterExpr, record: bytes) -> bool:
     """Evaluate one record; primitives must be reset (see reset_filter)."""
-    if events is None:
-        events = iter_events(record)
     leaves = expr.leaves
-    for ev in events:
+    for ev in iter_events(record):
         for leaf in leaves:
             if leaf.primitive.step(ev):
                 if leaf.kind == "string":

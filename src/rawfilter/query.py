@@ -9,6 +9,8 @@ AND binds tighter than OR; parentheses group subexpressions.
 
 from __future__ import annotations
 
+import functools
+import json
 import re
 from dataclasses import dataclass
 
@@ -32,6 +34,12 @@ _TOKEN = re.compile(
 class Predicate:
     attr: str
     bound: NumericBound
+
+    @functools.cached_property
+    def pattern(self) -> bytes:
+        """The attribute as a JSON string spells it, quotes excluded: the
+        bytes the string primitive searches for."""
+        return json.dumps(self.attr, ensure_ascii=False)[1:-1].encode()
 
     def leaves(self):
         yield self

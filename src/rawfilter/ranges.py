@@ -32,17 +32,7 @@ _SAT = ("sat",)
 _DEAD = ("dead",)
 _ZERO = ("zero",)
 
-NUMERIC_CLASS = np.zeros(256, dtype=bool)
-for _c in b"0123456789+-.eE":
-    NUMERIC_CLASS[_c] = True
-
-_IS_DIGIT = np.zeros(256, dtype=bool)
-for _c in b"0123456789":
-    _IS_DIGIT[_c] = True
-
-_IS_EXP = np.zeros(256, dtype=bool)
-_IS_EXP[ord("e")] = True
-_IS_EXP[ord("E")] = True
+NUMERIC_CLASS = frozenset(b"0123456789+-.eE")
 
 
 @dataclass(frozen=True)
@@ -362,74 +352,43 @@ def build_range_dfa(bound: NumericBound) -> RangeDfa:
     return dfa
 
 
-@dataclass
-class NumberScanState:
-    """Token scanner state; token flags clear at every delimiter."""
-
-    dfa_state: int = 0
-    in_token: bool = False
-    saw_digit: bool = False
-    saw_exponent_after_digit: bool = False
-    token_scope: int = 0
-    token_segment: int = 0
-
-
-def number_step(state: NumberScanState, dfa: RangeDfa, event) -> bool:
-    """Feed one scan event; True when a delimiter ends an in-range token."""
-    b = event.byte
-    if NUMERIC_CLASS[b]:
-        state.in_token = True
-        if _IS_EXP[b]:
-            if state.saw_digit:
-                state.saw_exponent_after_digit = True
-        elif _IS_DIGIT[b]:
-            state.saw_digit = True
-            state.token_scope = event.scope_id
-            state.token_segment = event.segment
-        state.dfa_state = int(dfa.table[state.dfa_state, b])
-        return False
-    return _end_token(state, dfa)
-
-
-def _end_token(state: NumberScanState, dfa: RangeDfa) -> bool:
-    """Close the pending token: its verdict, then the token flags cleared."""
-    fired = False
-    if state.in_token and state.saw_digit:
-        fired = bool(dfa.accept_mask[state.dfa_state]) or state.saw_exponent_after_digit
-    state.dfa_state = 0
-    state.in_token = False
-    state.saw_digit = False
-    state.saw_exponent_after_digit = False
-    return fired
-
-
 class RangeMatcher:
-    """Per-record stateful wrapper around a RangeDfa."""
+    """Per-record token scanner over a RangeDfa.
+
+    A token is a run of numeric-class bytes; the delimiter after it, or
+    `flush` at the record's end, takes its verdict and clears the token
+    state. A fire is attributed to the scope and segment of the token's
+    last digit (its delimiter may close the scope).
+    """
 
     def __init__(self, dfa: RangeDfa):
         self.dfa = dfa
-        self.state = NumberScanState()
-        self.latched = False
+        self._rows = dfa.table.tolist()
+        self._accepting = dfa.accept_mask.tolist()
+        self.reset()
 
     def step(self, event) -> bool:
-        fired = number_step(self.state, self.dfa, event)
-        self.latched |= fired
-        return fired
+        b = event.byte
+        if b not in NUMERIC_CLASS:
+            return self.flush()
+        if b in b"0123456789":
+            self.saw_digit = True
+            self.fire_scope = event.scope_id
+            self.fire_segment = event.segment
+        elif b in b"eE":
+            self.saw_exponent_after_digit |= self.saw_digit
+        self.dfa_state = self._rows[self.dfa_state][b]
+        return False
 
     def flush(self) -> bool:
-        """End-of-record: evaluate a pending token as if delimited."""
-        fired = _end_token(self.state, self.dfa)
+        """End the pending token; True when it holds a digit and is in range
+        or exponent-spelled."""
+        fired = self.saw_digit and (self._accepting[self.dfa_state] or self.saw_exponent_after_digit)
         self.latched |= fired
+        self.dfa_state, self.saw_digit, self.saw_exponent_after_digit = 0, False, False
         return fired
 
     def reset(self) -> None:
-        _end_token(self.state, self.dfa)
+        self.dfa_state, self.saw_digit, self.saw_exponent_after_digit = 0, False, False
+        self.fire_scope = self.fire_segment = 0
         self.latched = False
-
-    @property
-    def fire_scope(self) -> int:
-        return self.state.token_scope
-
-    @property
-    def fire_segment(self) -> int:
-        return self.state.token_segment

@@ -1,15 +1,13 @@
 """String-search primitives over raw byte streams.
 
-Three interchangeable matchers for a pattern of N bytes:
+Two matchers for a pattern of N bytes:
 
-* ``ExactMatcher('dfa')``: a failure-function automaton with N+1 states,
-  one byte per step.
-* ``ExactMatcher('full')``: ring buffer of the last N bytes compared
-  wholesale against the pattern.
-* ``SubstringBlockMatcher``: approximate matcher that keeps only the last B
-  bytes and counts consecutive hits against the set of all B-byte
-  substrings of the pattern; a run of N-B+1 hits signals a (possible)
-  occurrence. B=N degenerates to exact matching.
+* ``SubstringBlockMatcher``: keeps only the last B bytes and counts
+  consecutive hits against the set of all B-byte substrings of the
+  pattern; a run of N-B+1 hits signals a (possible) occurrence. B=N is the
+  exact full compare: one N-byte window, one gram, threshold 1.
+* ``ExactMatcher``: a failure-function automaton with N+1 states, one byte
+  per step; it fires on the same bytes as the B=N block matcher.
 
 All matchers are structure-agnostic: they consume every byte of a record,
 including quotes and structural characters. Composition decides what a
@@ -79,9 +77,6 @@ class SubstringBlockMatcher:
         self.latched |= fired
         return fired
 
-    def flush(self) -> bool:
-        return False
-
     def reset(self) -> None:
         self._ring.clear()
         self.run_counter = 0
@@ -91,24 +86,15 @@ class SubstringBlockMatcher:
 class ExactMatcher:
     """Exact suffix matcher; fires on every byte ending an occurrence."""
 
-    DFA_STATES = "dfa"
-    FULL_COMPARE = "full"
-
-    def __init__(self, pattern: bytes | str, variant: str = FULL_COMPARE):
+    def __init__(self, pattern: bytes | str):
         if isinstance(pattern, str):
             pattern = pattern.encode()
         if not pattern:
             raise ConfigError("pattern must be non-empty")
-        if variant not in (self.DFA_STATES, self.FULL_COMPARE):
-            raise ConfigError(f"unknown variant {variant!r}")
         self.pattern = pattern
-        self.variant = variant
         self.latched = False
-        if variant == self.DFA_STATES:
-            self._failure = self._build_failure(pattern)
-            self._state = 0
-        else:
-            self._ring = bytearray()
+        self._failure = self._build_failure(pattern)
+        self._state = 0
 
     @staticmethod
     def _build_failure(pattern: bytes) -> list[int]:
@@ -125,41 +111,28 @@ class ExactMatcher:
     def step(self, event) -> bool:
         b = event.byte
         pattern = self.pattern
-        if self.variant == self.DFA_STATES:
-            state = self._state
-            while state and b != pattern[state]:
-                state = self._failure[state - 1]
-            if b == pattern[state]:
-                state += 1
-            fired = state == len(pattern)
-            if fired:
-                state = self._failure[state - 1]
-            self._state = state
-        else:
-            ring = self._ring
-            ring.append(b)
-            if len(ring) > len(pattern):
-                del ring[0]
-            fired = len(ring) == len(pattern) and bytes(ring) == pattern
+        state = self._state
+        while state and b != pattern[state]:
+            state = self._failure[state - 1]
+        if b == pattern[state]:
+            state += 1
+        fired = state == len(pattern)
+        if fired:
+            state = self._failure[state - 1]
+        self._state = state
         self.latched |= fired
         return fired
 
-    def flush(self) -> bool:
-        return False
-
     def reset(self) -> None:
         self.latched = False
-        if self.variant == self.DFA_STATES:
-            self._state = 0
-        else:
-            self._ring.clear()
+        self._state = 0
 
 
 def make_string_matcher(pattern: bytes | str, block_len: int):
-    """Matcher for a concrete block length; B == N uses the full compare."""
+    """Matcher for a concrete block length; B == N uses the exact matcher."""
     if isinstance(pattern, str):
         pattern = pattern.encode()
     block_len = resolve_block_len(pattern, block_len)
     if block_len == len(pattern):
-        return ExactMatcher(pattern, ExactMatcher.FULL_COMPARE)
+        return ExactMatcher(pattern)
     return SubstringBlockMatcher(pattern, block_len)

@@ -298,16 +298,12 @@ def test_criterion_10_exact_matcher_equivalence():
             at = rng.randint(0, len(text))
             text = text[:at] + pattern + text[at:]
         expected = pattern in text
-        for matcher in (
-            ExactMatcher(pattern, ExactMatcher.DFA_STATES),
-            ExactMatcher(pattern, ExactMatcher.FULL_COMPARE),
-            SubstringBlockMatcher(pattern, len(pattern)),
-        ):
+        for matcher in (ExactMatcher(pattern), SubstringBlockMatcher(pattern, len(pattern))):
             for ev in iter_events(text):
                 matcher.step(ev)
             assert matcher.latched == expected, (pattern, text)
         checked += 1
-    ok(10, f"DFA, full-compare and B=N block matcher agree with naive search on {checked} pairs")
+    ok(10, f"DFA and B=N block matcher (the full compare) agree with naive search on {checked} pairs")
 
 
 # --- criterion 11 (gated on the real benchmark datasets) ----------------------

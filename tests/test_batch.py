@@ -313,7 +313,7 @@ def _reference_tokens(data: bytes, spans) -> list[tuple]:
     walk over the bytes."""
     tokens, start = [], None
     for i, b in enumerate(data + b" "):
-        if NUMERIC_CLASS[b]:
+        if b in NUMERIC_CLASS:
             start = i if start is None else start
             continue
         if start is not None:

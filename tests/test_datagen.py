@@ -12,7 +12,7 @@ from rawfilter.datagen import (
     query_for_spec,
 )
 from rawfilter.errors import ConfigError
-from rawfilter.oracle import eval_exact, parse_json
+from rawfilter.oracle import eval_exact, label_dataset, parse_json
 from rawfilter.query import parse_query
 
 SPEC_TEXT = """
@@ -104,3 +104,36 @@ def test_realized_selectivity_near_target():
     spec = GenSpec("senml", 20000, attrs, seed=123)
     hits = sum(1 for _, matches in generate_records(spec) if all(matches.values()))
     assert hits / spec.records == pytest.approx(0.554**5, abs=0.01)
+
+
+def _sidecar_and_oracle_labels(text: str) -> tuple[list, list]:
+    spec = parse_gen_spec(text)
+    corpus, sidecar = generate_dataset(spec)
+    labels = label_dataset(parse_query(query_for_spec(spec)), corpus.splitlines())
+    return [json.loads(line)["all"] for line in sidecar.splitlines()], [lab.exact_match for lab in labels.labels]
+
+
+@pytest.mark.parametrize("layout", ["senml", "flat"])
+@pytest.mark.parametrize(
+    "attr",
+    [
+        # a backslash in the name: written raw it would be a JSON escape
+        "attr a\\b int 0 10 inrange 1 5 p 0.5",
+        # more than 28 significant digits: the default context rounds them
+        "attr x int 0 2000000000000000000000000000000 "
+        "inrange 1000000000000000000000000000001 1000000000000000000000000000009 p 0.5",
+        # huge finite bounds: no exponent spelling in records or the query
+        "attr x int 0 1E+401 inrange 1E+399 1E+400 p 0.5",
+        "attr x decimal -1E+40 1E+40 inrange 1.25E+39 1E+40 p 0.5",
+    ],
+    ids=["backslash", "31-digits", "1E+399", "decimal-1E+39"],
+)
+def test_sidecar_labels_agree_with_oracle_on_unusual_specs(layout, attr):
+    sidecar, oracle = _sidecar_and_oracle_labels(f"layout {layout}\nrecords 40\nseed 3\n{attr}\n")
+    assert sidecar == oracle
+    assert any(sidecar) and not all(sidecar)
+
+
+def test_attribute_name_with_a_quote_is_rejected():
+    with pytest.raises(ConfigError, match="line 3"):
+        parse_gen_spec('layout flat\nrecords 3\nattr a"b int 0 10 inrange 1 5 p 0.5\n')

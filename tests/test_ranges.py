@@ -10,12 +10,10 @@ from rawfilter.automata import equivalent, intersect, minimize
 from rawfilter.errors import ConfigError
 from rawfilter.ranges import (
     DIGITS,
-    NumberScanState,
     NumericBound,
     RangeDfa,
     RangeMatcher,
     derive_range_dfa,
-    number_step,
 )
 from rawfilter.scanner import iter_events
 
@@ -281,11 +279,19 @@ class TestNumberScan:
         matcher = RangeMatcher(dfa)
         for ev in iter_events(b"340,"):
             matcher.step(ev)
-        fresh = NumberScanState()
-        state = matcher.state
-        assert (state.dfa_state, state.in_token, state.saw_digit, state.saw_exponent_after_digit) == (
-            fresh.dfa_state, fresh.in_token, fresh.saw_digit, fresh.saw_exponent_after_digit,
+        fresh = RangeMatcher(dfa)
+        assert (matcher.dfa_state, matcher.saw_digit, matcher.saw_exponent_after_digit) == (
+            fresh.dfa_state, fresh.saw_digit, fresh.saw_exponent_after_digit,
         )
+        # A reset inside a token: "4", reset, then "0" must not read as 40.
+        matcher = RangeMatcher(dfa)
+        for ev in iter_events(b"[4"):
+            matcher.step(ev)
+        matcher.reset()
+        assert vars(matcher) == vars(fresh)
+        for ev in iter_events(b"0]"):
+            matcher.step(ev)
+        assert not matcher.flush() and not matcher.latched
 
     def test_token_scope_attribution_survives_scope_close(self):
         dfa = dfa_for(35, None)
@@ -310,9 +316,9 @@ class TestNumberScan:
 
 def test_number_step_is_total_over_octets():
     dfa = dfa_for(0, 10)
-    state = NumberScanState()
+    matcher = RangeMatcher(dfa)
     for ev in iter_events(bytes(range(256))):
-        number_step(state, dfa, ev)
+        matcher.step(ev)
 
 
 def test_range_dfas_are_pinned():

@@ -104,8 +104,8 @@ class TestReset:
     def test_no_carryover_between_records(self):
         for build in (
             lambda: SubstringBlockMatcher("temperature", 2),
+            lambda: SubstringBlockMatcher("temperature", len("temperature")),
             lambda: ExactMatcher("temperature"),
-            lambda: ExactMatcher("temperature", ExactMatcher.DFA_STATES),
         ):
             m = build()
             feed(m, b'{"x":"temper')
@@ -159,8 +159,7 @@ def test_block_n_equals_exact_substring_search(pattern, text):
 @given(pattern=st.binary(min_size=1, max_size=6), text=_text)
 def test_exact_variants_agree_with_naive_search(pattern, text):
     expected = pattern in text
-    for variant in (ExactMatcher.DFA_STATES, ExactMatcher.FULL_COMPARE):
-        m = ExactMatcher(pattern, variant)
+    for m in (ExactMatcher(pattern), SubstringBlockMatcher(pattern, len(pattern))):
         feed(m, text)
         assert m.latched == expected
 
@@ -176,9 +175,8 @@ def test_counter_never_exceeds_threshold(pattern, text, data):
 
 def test_exact_variants_fire_on_every_occurrence_end():
     # overlapping occurrences of "aba" in "ababa" end at offsets 2 and 4
-    for variant in (ExactMatcher.DFA_STATES, ExactMatcher.FULL_COMPARE):
-        m = ExactMatcher(b"aba", variant)
-        assert feed(m, b"ababa") == [2, 4], variant
+    for m in (ExactMatcher(b"aba"), SubstringBlockMatcher(b"aba", 3)):
+        assert feed(m, b"ababa") == [2, 4], m
 
 
 def test_block_n_of_a_non_ascii_attribute_is_its_utf8_byte_length():
