@@ -136,11 +136,12 @@ _WRITE_RECORDS = 1024  # accepted records joined into one write
 
 
 def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 << 22) -> dict:
-    """Filter `source` one record-aligned chunk at a time; accepted records
-    go to `out`. Only `workers=1` is accepted: there is one driver."""
+    """Filter `source`, read `chunk_bytes` at a time, one record-aligned
+    index block at a time; accepted records go to `out`. Only `workers=1` is
+    accepted: there is one driver."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
-    records_in = records_out = bytes_in = malformed = chunks = largest = 0
+    records_in = records_out = bytes_in = scanned = malformed = chunks = largest = 0
     fires: dict[str, int] = {}
     started = time.perf_counter()
     for index, buffer in iter_chunk_indexes(source, chunk_bytes):
@@ -154,6 +155,7 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
             largest = max(largest, int((ends - starts).max()))
         records_in += len(starts)
         bytes_in += len(buffer)
+        scanned += index.scanned_bytes
         malformed += int(index.rec_malformed.sum())
         starts, ends = starts[accepts].tolist(), ends[accepts].tolist()
         records_out += len(starts)
@@ -169,6 +171,7 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
         "records_in": records_in,
         "records_out": records_out,
         "bytes_in": bytes_in,
+        "rescanned_bytes": scanned - bytes_in,
         "chunks": chunks,
         "largest_record_bytes": largest,
         "malformed": malformed,

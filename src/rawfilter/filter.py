@@ -20,6 +20,7 @@ the token's digits (its delimiter may close the scope).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -272,25 +273,45 @@ def accepts(expr: RawFilterExpr, record: bytes) -> bool:
 # --- configuration text format -----------------------------------------------
 
 
+def _config_attr(attr: str) -> str:
+    """The attribute as an ``attr MODE B`` line writes it: raw when it reads
+    back as one token, its JSON spelling when it is empty or holds
+    whitespace or ``#``."""
+    if attr and not any(c.isspace() or c == "#" for c in attr):
+        return attr
+    return json.dumps(attr)
+
+
 def serialize_config(ast: QueryAst, cfg: FilterConfig) -> str:
     """One line per predicate: ``attr MODE B`` (B is '-' without a string)."""
     validate_config(ast, cfg)
     lines = []
     for leaf, pc in zip(ast.leaves(), cfg.predicates):
         block = "-" if pc.block is None else str(pc.block)
-        lines.append(f"{leaf.attr} {pc.mode.value} {block}")
+        lines.append(f"{_config_attr(leaf.attr)} {pc.mode.value} {block}")
     return "\n".join(lines) + "\n"
 
 
+_JSON = json.JSONDecoder()
+
+
 def parse_config(text: str, ast: QueryAst) -> FilterConfig:
-    """Parse the ``attr MODE B`` lines against the query's predicates."""
+    """Parse the ``attr MODE B`` lines against the query's predicates. An
+    attribute that starts with a quote is read in its JSON spelling."""
     leaves = list(ast.leaves())
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        parts = []
+        if line.startswith('"'):
+            try:
+                attr, end = _JSON.raw_decode(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"line {lineno}: bad quoted attribute in {raw!r}") from exc
+            parts, line = [attr], line[end:]
+        parts += line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ConfigError(f"line {lineno}: expected 'attr MODE B', got {raw!r}")
         entries.append((lineno, *parts))

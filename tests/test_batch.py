@@ -548,21 +548,67 @@ def chunk_configs():
     return configs
 
 
+def _stats_of_the_records(stats: dict) -> dict:
+    """A run's stats without those that count blocks, rescans or time."""
+    return {k: v for k, v in stats.items() if k not in ("chunks", "rescanned_bytes", "wall_s", "throughput_mb_s")}
+
+
 @pytest.mark.parametrize("cfg", chunk_configs(), ids=lambda cfg: "-".join(p.mode.value for p in cfg.predicates))
-def test_chunked_runs_write_the_unchunked_output(cfg):
+def test_chunked_runs_write_the_unchunked_output(cfg, monkeypatch):
     # Chunk carries drop a buffer's last record; a fire in the dropped tail
-    # must not latch the record before it.
+    # must not latch the record before it. Index blocks cut each read again,
+    # so their boundaries land anywhere in it.
     from rawfilter.cli import _run_stream
 
     ast = parse_query(MALFORMED_QUERY)
     expr = compile_filter(ast, cfg)
+    runs = [(batch._BLOCK_BYTES, chunk_bytes) for chunk_bytes in (7, 64, 512, 4096, 1 << 22)]
+    runs += [(block, chunk_bytes) for block in (7, 61, 509) for chunk_bytes in (64, 512, 4096, 1 << 22)]
     for data in (fuzz_stream(14), malformed_stream(1)):
         kept = [s.slice(data) for s in segment_records(data) if accepts(expr, s.slice(data))]
         expected = b"".join(record + b"\n" for record in kept)
-        for chunk_bytes in (7, 64, 512, 4096, 1 << 22):
+        monkeypatch.undo()
+        whole = _run_stream(ast, cfg, io.BytesIO(data), io.BytesIO())
+        assert (whole["chunks"], whole["rescanned_bytes"]) == (1, 0)
+        for block, chunk_bytes in runs:
+            monkeypatch.setattr(batch, "_BLOCK_BYTES", block)
             out = io.BytesIO()
-            _run_stream(ast, cfg, io.BytesIO(data), out, chunk_bytes=chunk_bytes)
-            assert out.getvalue() == expected, chunk_bytes
+            stats = _run_stream(ast, cfg, io.BytesIO(data), out, chunk_bytes=chunk_bytes)
+            assert out.getvalue() == expected, (block, chunk_bytes)
+            assert _stats_of_the_records(stats) == _stats_of_the_records(whole), (block, chunk_bytes)
+            assert stats["rescanned_bytes"] >= 0
+
+
+def test_run_memory_follows_the_block(monkeypatch):
+    # Each read is indexed in blocks, so the index tables follow the block:
+    # the traced peak stays within a fixed multiple of the block plus the
+    # read, over 64 and 128 blocks alike. Indexing whole reads peaks at
+    # about 13 reads here.
+    import tracemalloc
+
+    from rawfilter.cli import _run_stream
+
+    class Discard:
+        def write(self, data):
+            return len(data)
+
+    block, read = 1 << 14, 1 << 18
+    monkeypatch.setattr(batch, "_BLOCK_BYTES", block)
+    ast = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
+    cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, 2)))
+    records = fuzz_stream(16, 400)
+    peaks = []
+    for blocks in (64, 128):
+        source = io.BytesIO(records * (blocks * block // len(records) + 1))
+        tracemalloc.start()
+        try:
+            stats = _run_stream(ast, cfg, source, Discard(), chunk_bytes=read)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert stats["chunks"] >= blocks
+    assert max(peaks) < 16 * block + 3 * read, peaks
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 def test_single_record_larger_than_chunk():
@@ -592,3 +638,4 @@ def test_single_record_carry_scans_linear_bytes(monkeypatch):
     chunks = list(iter_chunk_indexes(io.BytesIO(data), 128))
     assert [buffer for _, buffer in chunks] == [data]
     assert sum(scanned) <= 4 * len(data), (len(scanned), sum(scanned))
+    assert sum(index.scanned_bytes for index, _ in chunks) == sum(scanned)

@@ -100,9 +100,10 @@ class TestRun:
             stats = json.loads(capfdbinary.readouterr().err.splitlines()[-1])
             assert sorted(stats) == [
                 "accept_ratio", "bytes_in", "chunks", "fires", "largest_record_bytes", "malformed",
-                "records_in", "records_out", "throughput_mb_s", "wall_s",
+                "records_in", "records_out", "rescanned_bytes", "throughput_mb_s", "wall_s",
             ]
             assert (stats["chunks"], stats["largest_record_bytes"]) == (chunks, largest)
+            assert stats["rescanned_bytes"] == 0  # one block, indexed once
 
     def test_accepted_records_byte_identical(self, ws, capfdbinary):
         scoped = self.make_descriptor(ws, "scoped")

@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rawfilter.batch import CorpusIndex
+from rawfilter.cli import parse_descriptor, render_descriptor
 from rawfilter.errors import ConfigError
-from rawfilter.explorer import evaluate_config
+from rawfilter.explorer import DEFAULT_COST_MODEL, evaluate_config
 from rawfilter.filter import (
     FilterConfig,
     Mode,
@@ -214,6 +216,36 @@ class TestConfigText:
         text = "# choice\n\ntemperature SCOPED 2  # block 2\n"
         cfg = parse_config(text, Q0)
         assert cfg.predicates[0] == PredicateConfig(Mode.SCOPED, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        attr=st.text(st.sampled_from(" #\\\tab_\u00e9"), min_size=1, max_size=8),
+        pc=st.sampled_from(
+            [PredicateConfig(Mode.VALUE_ONLY), PredicateConfig(Mode.FLAT, 1),
+             PredicateConfig(Mode.SCOPED, "N"), PredicateConfig(Mode.KEYVALUE, 2)]
+        ),
+    )
+    def test_every_attribute_reads_back(self, attr, pc):
+        # An attribute holding whitespace or '#' is written in its JSON
+        # spelling; every other line stays raw, as cached descriptors have it.
+        ast = parse_query(f'(1 <= "{attr}" <= 5)')
+        cfg = FilterConfig((pc,))
+        try:
+            text = serialize_config(ast, cfg)
+        except ConfigError:
+            assume(False)  # a block longer than the attribute
+        assert parse_config(text, ast) == cfg
+        assert parse_descriptor(render_descriptor(ast.notation(), ast, cfg, DEFAULT_COST_MODEL)) == (ast, cfg)
+        if not any(c in attr for c in " #\t"):
+            assert text.split(" ")[0] == attr
+
+    def test_quoted_attributes(self):
+        ast = parse_query('(1 <= "a #b" <= 5) AND (1 <= "" <= 5)')
+        cfg = cfg_of(("SCOPED", 2), ("VALUE_ONLY", None))
+        assert serialize_config(ast, cfg) == '"a #b" SCOPED 2\n"" VALUE_ONLY -\n'
+        assert parse_config('  "a #b" SCOPED 2  # block 2\n"" VALUE_ONLY -\n', ast) == cfg
+        with pytest.raises(ConfigError):
+            parse_config('"a #b SCOPED 2\n"" VALUE_ONLY -\n', ast)
 
 
 # An attribute with a backslash or a control character is spelled escaped in
