@@ -335,3 +335,14 @@ def test_range_dfas_are_pinned():
     assert any(b.lower is not None and b.lower < 0 for b in BOUNDS)
     assert any(b.kind == "decimal" for b in BOUNDS)
     assert digest.hexdigest() == "338c6cc96e2610b0008968b93b3cc1c629f56a226be4e1c0f882d1f0f7adf058"
+
+
+def test_range_tables_are_pinned():
+    # State numbering included: the byte table and accept mask both executors step.
+    digest = hashlib.sha256()
+    for bound in BOUNDS:
+        dfa = RangeDfa(bound)
+        digest.update(f"{dfa.table.dtype}|{dfa.table.shape}|".encode())
+        digest.update(dfa.table.tobytes())
+        digest.update(dfa.accept_mask.tobytes())
+    assert digest.hexdigest() == "f2543baa70f35570171823c572575534c702ea2b6bee02a85d80ad74c0fbd4c5"
