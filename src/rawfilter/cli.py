@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import sys
 import time
@@ -63,8 +64,17 @@ def _read_dataset(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
+_QUERY_SPACE = re.compile(r'("[^"]*")|\s+')
+
+
+def _read_query(path: str) -> str:
+    """The query file on one line: each whitespace run outside a quoted
+    attribute becomes one space; attributes keep theirs."""
+    return _QUERY_SPACE.sub(lambda m: m.group(1) or " ", _read_text(path).strip())
+
+
 def _load_query_and_config(args) -> tuple:
-    query_text = " ".join(_read_text(args.query).split())
+    query_text = _read_query(args.query)
     ast = parse_query(query_text)
     cfg = parse_config(_read_text(args.config), ast)
     return query_text, ast, cfg
@@ -132,9 +142,6 @@ def cmd_compile(args) -> int:
     return 0
 
 
-_WRITE_RECORDS = 1024  # accepted records joined into one write
-
-
 def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 << 22) -> dict:
     """Filter `source`, read `chunk_bytes` at a time, one record-aligned
     index block at a time; accepted records go to `out`. Only `workers=1` is
@@ -159,12 +166,9 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
         malformed += int(index.rec_malformed.sum())
         starts, ends = starts[accepts].tolist(), ends[accepts].tolist()
         records_out += len(starts)
-        # One write per slice of records: a chunk's output is copied a slice at a time.
-        for lo in range(0, len(starts), _WRITE_RECORDS):
-            hi = lo + _WRITE_RECORDS
-            kept = [buffer[s:e] for s, e in zip(starts[lo:hi], ends[lo:hi])]
-            kept.append(b"")  # the last record's newline
-            out.write(b"\n".join(kept))
+        kept = [buffer[s:e] for s, e in zip(starts, ends)]
+        kept.append(b"")  # the last record's newline
+        out.write(b"\n".join(kept))  # one write per index block
         del corpus, index, buffer  # freed before the next chunk is read and indexed
     elapsed = max(time.perf_counter() - started, 1e-9)
     return {
@@ -223,8 +227,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    query_text = " ".join(_read_text(args.query).split())
-    ast = parse_query(query_text)
+    ast = parse_query(_read_query(args.query))
     options = ExplorerOptions(
         modes=args.modes, blocks=args.blocks, cap=args.cap, sample=args.sample, seed=args.seed
     )

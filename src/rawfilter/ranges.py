@@ -22,7 +22,6 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .automata import Dfa, minimize
 from .errors import ConfigError
 
 DIGITS = "0123456789"
@@ -246,7 +245,7 @@ class _Branch:
         return pair[0] == _SAT and pair[1][0] != "dead"
 
 
-def derive_range_dfa(bound: NumericBound) -> Dfa:
+def derive_range_dfa(bound: NumericBound) -> tuple[np.ndarray, np.ndarray]:
     """Interval automaton over plain decimal spellings of in-range values.
 
     The sign splits the automaton into one branch for '-'-prefixed magnitudes
@@ -254,6 +253,10 @@ def derive_range_dfa(bound: NumericBound) -> Dfa:
     digit as described in the module docstring. A state is one (branch,
     comparison pair) and has at most one successor per symbol, so the
     search yields a DFA; states are numbered breadth-first.
+
+    Returns (rows, accepting): rows[s, i] is the successor of state s on
+    RANGE_ALPHABET[i], and the last row is the dead sink, which every
+    missing successor reaches and which maps to itself.
     """
     lo, up = bound.lower, bound.upper
     unsigned = _Branch(lo, up)
@@ -280,27 +283,49 @@ def derive_range_dfa(bound: NumericBound) -> Dfa:
         return (unsigned if key[0] == "u" else neg).accepts(key[1:])
 
     keys = [("start",)]
-    index = {keys[0]: 0}
-    transitions: list[dict] = []
+    index = {keys[0]: 0, None: -1}  # the sink's row is known only at the end
+    rows = []
     for key in keys:  # grows while it is walked: a breadth-first search
-        row = {}
+        row = []
         for ch in RANGE_ALPHABET:
             nkey = successor(key, ch)
-            if nkey is not None:
-                if nkey not in index:
-                    index[nkey] = len(keys)
-                    keys.append(nkey)
-                row[ch] = index[nkey]
-        transitions.append(row)
-    return Dfa(RANGE_ALPHABET, len(keys), transitions, [accepts(key) for key in keys])
+            if nkey not in index:
+                index[nkey] = len(keys)
+                keys.append(nkey)
+            row.append(index[nkey])
+        rows.append(row)
+    table = np.array(rows + [[-1] * len(RANGE_ALPHABET)])
+    table[table < 0] = len(keys)
+    return table, np.array([accepts(key) for key in keys] + [False])
 
 
-def _merged_input_classes(dfa: Dfa) -> int:
-    """Number of input classes after merging symbols with identical columns."""
-    columns = set()
-    for sym in dfa.alphabet:
-        columns.add(tuple(dfa.transitions[s].get(sym, -1) for s in range(dfa.n_states)))
-    return len(columns)
+def _minimize(rows: np.ndarray, accepting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moore partition refinement of a table whose last row is the dead sink.
+
+    States equivalent to the sink join its block, which stays the last row;
+    the other blocks are numbered by their first state, so the start stays
+    state 0 (the bound's own spelling is accepted: no language is empty).
+    """
+    succ = rows.tolist()
+    block = accepting.astype(int).tolist()
+    while True:
+        ids: dict = {}
+        new = [ids.setdefault((b, *[block[d] for d in row]), len(ids)) for b, row in zip(block, succ)]
+        if new == block:
+            break
+        block = new
+    # Blocks are numbered by first state already; move the sink's block last.
+    n, dead = len(ids), block[-1]
+    renumber = np.arange(n) - (np.arange(n) > dead)
+    renumber[dead] = n - 1
+    block = renumber[block]
+    firsts = np.unique(block, return_index=True)[1]
+    return block[rows[firsts]].astype(np.int16), accepting[firsts]
+
+
+# Byte -> RANGE_ALPHABET column: the symbol 'e' covers both exponent letters.
+_SYMBOL_BYTES = np.frombuffer(b"0123456789.-+eE", dtype=np.uint8)
+_SYMBOL_COLUMNS = [RANGE_ALPHABET.index(chr(b).lower()) for b in _SYMBOL_BYTES]
 
 
 class RangeDfa:
@@ -308,25 +333,13 @@ class RangeDfa:
 
     def __init__(self, bound: NumericBound):
         self.bound = bound
-        self.dfa = minimize(derive_range_dfa(bound))
-        self.state_count = self.dfa.n_states
-        self.input_classes = _merged_input_classes(self.dfa)
-        self.dead = self.state_count
-        # Byte-indexed table with an explicit dead row for batch stepping.
-        table = np.full((self.state_count + 1, 256), self.dead, dtype=np.int16)
-        for state in range(self.state_count):
-            for sym, dst in self.dfa.transitions[state].items():
-                for byte in self._symbol_bytes(sym):
-                    table[state, byte] = dst
-        self.table = table
-        self.accept_mask = np.zeros(self.state_count + 1, dtype=bool)
-        self.accept_mask[: self.state_count] = self.dfa.accepting
-
-    @staticmethod
-    def _symbol_bytes(sym: str):
-        if sym == "e":
-            return (ord("e"), ord("E"))
-        return (ord(sym),)
+        rows, accepting = _minimize(*derive_range_dfa(bound))
+        self.state_count = self.dead = len(rows) - 1
+        self.input_classes = np.unique(rows[:-1], axis=1).shape[1]
+        # Byte-indexed table; the dead row absorbs, as do all non-numeric bytes.
+        self.table = np.full((len(rows), 256), self.dead, dtype=np.int16)
+        self.table[:, _SYMBOL_BYTES] = rows[:, _SYMBOL_COLUMNS]
+        self.accept_mask = accepting
 
     def accepts_token(self, token: str | bytes) -> bool:
         """DFA verdict on one complete token (no exponent heuristic)."""

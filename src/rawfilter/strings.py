@@ -32,11 +32,10 @@ def build_substring_set(pattern: bytes | str, block_len: int) -> set[bytes]:
 
 
 def resolve_block_len(pattern: bytes | str, block: int | str) -> int:
-    """Map the symbolic block choice 'N' to the pattern length in UTF-8 bytes."""
+    """Map the symbolic block choice 'N' to the pattern length in UTF-8 bytes.
+    An empty pattern has no block length, 'N' included."""
     n = len(pattern.encode() if isinstance(pattern, str) else pattern)
-    if block == "N":
-        return n
-    block = int(block)
+    block = n if block == "N" else int(block)
     if not 1 <= block <= n:
         raise ConfigError(f"block length {block} out of range for N={n}")
     return block

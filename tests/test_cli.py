@@ -68,6 +68,24 @@ class TestCompile:
     def test_missing_file_exits_3(self, ws):
         assert run_cli("compile", "--query", ws / "nope.txt", "--config", ws / "scoped.cfg") == 3
 
+    def test_whitespace_inside_an_attribute_is_kept(self, tmp_path, capfdbinary):
+        # Whitespace runs between tokens collapse; the attribute's own do not.
+        (tmp_path / "q.txt").write_text('(1  <=\n\t"a  b" <= 5)\n')
+        (tmp_path / "q.cfg").write_text('"a  b" FLAT N\n')
+        (tmp_path / "d.ndjson").write_bytes(b'{"a  b":3}\n{"a b":3}\n')
+        desc = tmp_path / "q.desc"
+        query = ("--query", tmp_path / "q.txt", "--config", tmp_path / "q.cfg")
+        assert run_cli("compile", *query, "--out", desc) == 0
+        assert 'query: (1 <= "a  b" <= 5)\n' in desc.read_text()
+        assert run_cli("run", "--filter", desc, "--dataset", tmp_path / "d.ndjson") == 0
+        assert capfdbinary.readouterr().out == b'{"a  b":3}\n'
+        assert run_cli("eval", *query, "--dataset", tmp_path / "d.ndjson") == 0
+        payload = json.loads(capfdbinary.readouterr().out)
+        assert (payload["tp"], payload["fn"], payload["tn"]) == (1, 0, 1)
+        rc = run_cli("explore", "--query", tmp_path / "q.txt", "--dataset", tmp_path / "d.ndjson",
+                     "--out", tmp_path / "r.csv")
+        assert rc == 0 and 'a  b' in (tmp_path / "r.csv").read_text()
+
 
 class TestRun:
     def make_descriptor(self, ws, config_name):

@@ -27,6 +27,7 @@ from rawfilter.filter import (
 from rawfilter.oracle import eval_exact, label_dataset, parse_json
 from rawfilter.query import parse_query
 from rawfilter.scanner import iter_events
+from rawfilter.strings import resolve_block_len
 
 from conftest import senml_record
 
@@ -219,15 +220,16 @@ class TestConfigText:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        attr=st.text(st.sampled_from(" #\\\tab_\u00e9"), min_size=1, max_size=8),
+        attr=st.text(st.sampled_from(" #\\\tab_\u00e9"), min_size=0, max_size=8),
         pc=st.sampled_from(
             [PredicateConfig(Mode.VALUE_ONLY), PredicateConfig(Mode.FLAT, 1),
              PredicateConfig(Mode.SCOPED, "N"), PredicateConfig(Mode.KEYVALUE, 2)]
         ),
     )
     def test_every_attribute_reads_back(self, attr, pc):
-        # An attribute holding whitespace or '#' is written in its JSON
-        # spelling; every other line stays raw, as cached descriptors have it.
+        # An attribute that is empty or holds whitespace or '#' is written in
+        # its JSON spelling; every other line stays raw, as cached descriptors
+        # have it.
         ast = parse_query(f'(1 <= "{attr}" <= 5)')
         cfg = FilterConfig((pc,))
         try:
@@ -236,8 +238,20 @@ class TestConfigText:
             assume(False)  # a block longer than the attribute
         assert parse_config(text, ast) == cfg
         assert parse_descriptor(render_descriptor(ast.notation(), ast, cfg, DEFAULT_COST_MODEL)) == (ast, cfg)
-        if not any(c in attr for c in " #\t"):
+        if attr and not any(c in attr for c in " #\t"):
             assert text.split(" ")[0] == attr
+
+    @pytest.mark.parametrize("mode", ["FLAT", "SCOPED", "KEYVALUE"])
+    def test_empty_attribute_takes_no_string_primitive(self, mode):
+        # Validation and the descriptor agree: no block length fits "".
+        ast = parse_query('(1 <= "" <= 5)')
+        with pytest.raises(ConfigError, match="block length 0 out of range for N=0"):
+            resolve_block_len(b"", "N")
+        with pytest.raises(ConfigError, match="block length 0 out of range for N=0"):
+            parse_config(f'"" {mode} N\n', ast)
+        value_only = cfg_of(("VALUE_ONLY", None))
+        text = render_descriptor(ast.notation(), ast, value_only, DEFAULT_COST_MODEL)
+        assert parse_descriptor(text) == (ast, value_only)
 
     def test_quoted_attributes(self):
         ast = parse_query('(1 <= "a #b" <= 5) AND (1 <= "" <= 5)')

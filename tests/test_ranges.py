@@ -1,15 +1,16 @@
 import hashlib
 import random
+from collections import deque
 from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rawfilter.automata import equivalent, intersect, minimize
 from rawfilter.errors import ConfigError
 from rawfilter.ranges import (
     DIGITS,
+    RANGE_ALPHABET,
     NumericBound,
     RangeDfa,
     RangeMatcher,
@@ -93,6 +94,33 @@ def seeded_tokens(count: int = 7000, seed: int = 15) -> list[str]:
 BOUNDS = seeded_bounds()
 
 
+def symbol_table(bound: NumericBound):
+    """A RangeDfa's (rows, accepting) over RANGE_ALPHABET, dead row last."""
+    dfa = RangeDfa(bound)
+    assert (dfa.table[:, ord("e")] == dfa.table[:, ord("E")]).all()
+    return dfa.table[:, [ord(ch) for ch in RANGE_ALPHABET]], dfa.accept_mask
+
+
+def intersection_is(direct, *parts) -> bool:
+    """Product BFS over (rows, accepting) tables on RANGE_ALPHABET, dead
+    sinks included: `direct` accepts exactly what every one of `parts`
+    accepts (one part: language equality)."""
+    tables = (direct, *parts)
+    start = (0,) * len(tables)
+    seen, queue = {start}, deque([start])
+    while queue:
+        states = queue.popleft()
+        flags = [bool(acc[s]) for (_, acc), s in zip(tables, states)]
+        if flags[0] != all(flags[1:]):
+            return False
+        for col in range(len(RANGE_ALPHABET)):
+            nxt = tuple(int(rows[s, col]) for (rows, _), s in zip(tables, states))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
 class TestLowerBound35:
     """The i >= 35 build: five states, leading zeros tolerated."""
 
@@ -109,9 +137,9 @@ class TestLowerBound35:
         assert self.dfa.state_count == 5
 
     def test_transitions_isomorphic_to_expected_shape(self):
-        d = self.dfa.dfa
-        s0 = d.start
-        step = lambda s, ch: d.transitions[s].get(ch)
+        d = self.dfa
+        s0 = 0
+        step = lambda s, ch: d.table[s, ord(ch)]
         assert step(s0, "0") == s0
         s1 = step(s0, "3")
         s2 = step(s0, "1")
@@ -124,8 +152,8 @@ class TestLowerBound35:
         assert {step(s2, ch) for ch in "0123456789"} == {s3}
         assert {step(s3, ch) for ch in "0123456789"} == {acc}
         assert {step(acc, ch) for ch in "0123456789"} == {acc}
-        assert d.accepting[acc] and not any(
-            d.accepting[s] for s in (s0, s1, s2, s3)
+        assert d.accept_mask[acc] and not any(
+            d.accept_mask[s] for s in (s0, s1, s2, s3)
         )
         assert len({s0, s1, s2, s3, acc}) == 5
 
@@ -198,16 +226,16 @@ class TestAutomataToolkit:
     @pytest.mark.parametrize("bound", BOUNDS[:50], ids=lambda b: b.notation())
     def test_minimization_preserves_language(self, bound):
         derived = derive_range_dfa(bound)
-        minimal = minimize(derived)
-        assert minimal.n_states <= derived.n_states
-        assert equivalent(derived, minimal)
+        minimal = symbol_table(bound)
+        assert len(minimal[0]) <= len(derived[0])
+        assert intersection_is(derived, minimal)
 
     def test_product_of_one_sided_bounds_equals_direct(self):
         for lo, hi in [(35, 400), (7, 7), ("0.7", "35.1"), (0, 5153), (140, 3155)]:
-            lower_only = minimize(derive_range_dfa(NumericBound(Decimal(lo), None)))
-            upper_only = minimize(derive_range_dfa(NumericBound(None, Decimal(hi))))
-            direct = minimize(derive_range_dfa(NumericBound(Decimal(lo), Decimal(hi))))
-            assert equivalent(intersect(lower_only, upper_only), direct), (lo, hi)
+            lower_only = symbol_table(NumericBound(Decimal(lo), None))
+            upper_only = symbol_table(NumericBound(None, Decimal(hi)))
+            direct = symbol_table(NumericBound(Decimal(lo), Decimal(hi)))
+            assert intersection_is(direct, lower_only, upper_only), (lo, hi)
 
 
 @given(
