@@ -91,6 +91,8 @@ def _cost_model(args) -> CostModel:
 
 def render_descriptor(query_text: str, ast, cfg: FilterConfig, model: CostModel) -> str:
     plan = validate_config(ast, cfg)
+    if query_text.splitlines() != [query_text]:
+        raise ConfigError("the descriptor's query line cannot hold an attribute with a line break")
     lines = ["# rawfilter descriptor", f"query: {query_text}"]
     for cfg_line in serialize_config(ast, cfg).splitlines():
         lines.append(f"config: {cfg_line}")

@@ -196,12 +196,13 @@ def _shape(ast: QueryAst, omitted: tuple) -> Plan | None:
 
 def enumerate_configs(ast: QueryAst, options: ExplorerOptions = ExplorerOptions()) -> list[FilterConfig]:
     """All valid configurations, in a deterministic order; a listed block
-    longer than an attribute stands for its N."""
+    longer than an attribute stands for its N, and an empty attribute takes
+    no string mode."""
     per_leaf: list[list[PredicateConfig]] = []
     for leaf in ast.leaves():
         n = len(leaf.pattern)
         blocks = dict.fromkeys(
-            resolve_block_len(leaf.pattern, b if b == "N" else min(int(b), n)) for b in options.blocks
+            resolve_block_len(leaf.pattern, b if b == "N" else min(int(b), n)) for b in options.blocks if n
         )
         per_leaf.append([
             PredicateConfig(mode, b)

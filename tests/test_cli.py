@@ -85,6 +85,11 @@ class TestCompile:
         rc = run_cli("explore", "--query", tmp_path / "q.txt", "--dataset", tmp_path / "d.ndjson",
                      "--out", tmp_path / "r.csv")
         assert rc == 0 and 'a  b' in (tmp_path / "r.csv").read_text()
+        # A line break inside an attribute does not fit the descriptor's query line.
+        (tmp_path / "q.txt").write_text('(1 <= "a\nb" <= 5)\n')
+        (tmp_path / "q.cfg").write_text('"a\\nb" VALUE_ONLY -\n')
+        assert run_cli("compile", *query, "--out", desc) == 2
+        assert run_cli("eval", *query, "--dataset", tmp_path / "d.ndjson") == 0
 
 
 class TestRun:
@@ -262,6 +267,15 @@ class TestExplore:
                      "--out", tmp_path / "r.csv")
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["configs"] == 3  # VALUE_ONLY, FLAT 1, SCOPED 1
+
+    def test_empty_attribute_takes_value_only(self, tmp_path, capsys):
+        (tmp_path / "q.txt").write_text('(0 <= "" <= 10)\n')
+        (tmp_path / "d.ndjson").write_bytes(b'{"":5}\n{"":50}\n')
+        rc = run_cli("explore", "--query", tmp_path / "q.txt", "--dataset", tmp_path / "d.ndjson",
+                     "--out", tmp_path / "r.csv")
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["configs"] == 1
+        assert (tmp_path / "r.csv").read_text().splitlines()[1].startswith("0,v(0<=i<=10),")
 
 
 @pytest.mark.parametrize(
