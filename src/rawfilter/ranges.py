@@ -335,7 +335,7 @@ class RangeDfa:
         self.bound = bound
         rows, accepting = _minimize(*derive_range_dfa(bound))
         self.state_count = self.dead = len(rows) - 1
-        self.input_classes = np.unique(rows[:-1], axis=1).shape[1]
+        self.input_classes = len({tuple(column) for column in rows[:-1].T.tolist()})
         # Byte-indexed table; the dead row absorbs, as do all non-numeric bytes.
         self.table = np.full((len(rows), 256), self.dead, dtype=np.int16)
         self.table[:, _SYMBOL_BYTES] = rows[:, _SYMBOL_COLUMNS]
