@@ -34,7 +34,15 @@ from rawfilter.ranges import NUMERIC_CLASS, NumericBound, RangeMatcher, build_ra
 from rawfilter.scanner import ScannerState, iter_events, segment_records
 from rawfilter.strings import SubstringBlockMatcher, make_string_matcher
 
-from conftest import ALL_MODES, flat_record, fuzz_records, random_json_record, senml_record
+from conftest import (
+    ALL_MODES,
+    CONFUSABLE_ATTRS,
+    QUERY_ATTRS,
+    flat_record,
+    fuzz_records,
+    random_json_record,
+    senml_record,
+)
 
 
 def fuzz_stream(seed: int, n: int = 150) -> bytes:
@@ -639,3 +647,154 @@ def test_single_record_carry_scans_linear_bytes(monkeypatch):
     assert [buffer for _, buffer in chunks] == [data]
     assert sum(scanned) <= 4 * len(data), (len(scanned), sum(scanned))
     assert sum(index.scanned_bytes for index, _ in chunks) == sum(scanned)
+
+
+# --- records cut at safe points -------------------------------------------------
+
+NAMES = QUERY_ATTRS + CONFUSABLE_ATTRS
+
+
+def merged_senml_record(seed: int, size: int, lo: float = -50.0, hi: float = 6000.0) -> bytes:
+    """One SenML record holding the entries of many, about `size` bytes long."""
+    rng = random.Random(seed)
+    entries, total = [], 0
+    while total < size:
+        record = senml_record(rng, rng.sample(NAMES, 3), lo, hi)
+        entries.append(record[len(b'{"e":[') : record.rindex(b'],"bt":')])
+        total += len(entries[-1]) + 1
+    return b'{"e":[' + b",".join(entries) + b'],"bt":1422748800000}'
+
+
+def nested_flat_record(seed: int, size: int) -> bytes:
+    """One record of flat objects nested two and three levels deep."""
+    rng = random.Random(seed)
+    groups, total = [], 0
+    while total < size:
+        flats = [flat_record(rng, rng.sample(NAMES, 3)) for _ in range(rng.randint(1, 3))]
+        groups.append(b'{"g%d":[%s],"at":%s}' % (len(groups), b",".join(flats), flats[0]))
+        total += len(groups[-1]) + 1
+    return b'{"groups":[' + b",".join(groups) + b"]}"
+
+
+def cut_stream() -> bytes:
+    """Records many blocks long between ordinary ones. In the last two a
+    string and a value share a level-1 scope (and, in the first of them, a
+    segment) across hundreds of commas."""
+    fill = b",".join([b"99"] * 300)
+    records = [
+        merged_senml_record(31, 3000),
+        merged_senml_record(32, 3000, lo=4000.0),
+        nested_flat_record(33, 3000),
+        b'{"temperature":[' + fill + b'] 20.5,"light":[' + fill + b"] 7}",
+        b'{"temperature":[' + fill + b'],"x":20.5,"humidity":[' + fill + b'],"y":30}',
+    ]
+    return b"".join(fuzz_stream(40 + i, 3) + record + b"\n" for i, record in enumerate(records))
+
+
+@pytest.mark.parametrize("cfg", chunk_configs(), ids=lambda cfg: "-".join(p.mode.value for p in cfg.predicates))
+def test_records_longer_than_a_block_write_the_unchunked_output(cfg, monkeypatch):
+    # A record that outgrows its block is cut just past a structural comma,
+    # and its filter state goes on into the next piece: every scope, segment,
+    # latch and verdict must come out as for the whole record.
+    from rawfilter.cli import _run_stream
+
+    ast = parse_query(MALFORMED_QUERY)
+    expr = compile_filter(ast, cfg)
+    data = cut_stream()
+    kept = [s.slice(data) for s in segment_records(data) if accepts(expr, s.slice(data))]
+    expected = b"".join(record + b"\n" for record in kept)
+    whole = _run_stream(ast, cfg, io.BytesIO(data), io.BytesIO())
+    assert whole["chunks"] == 1 and whole["largest_record_bytes"] > 3000
+    for block in (7, 61, 509):
+        for chunk_bytes in (64, 4096):
+            monkeypatch.setattr(batch, "_BLOCK_BYTES", block)
+            out = io.BytesIO()
+            stats = _run_stream(ast, cfg, io.BytesIO(data), out, chunk_bytes=chunk_bytes)
+            assert out.getvalue() == expected, (block, chunk_bytes)
+            assert _stats_of_the_records(stats) == _stats_of_the_records(whole), (block, chunk_bytes)
+
+
+def _largest_index(monkeypatch) -> list:
+    """Patch `build_scan_index` to note the largest buffer it indexes."""
+    largest = [0]
+    build = batch.build_scan_index
+
+    def noting(buffer, *args):
+        largest[0] = max(largest[0], len(buffer))
+        return build(buffer, *args)
+
+    monkeypatch.setattr(batch, "build_scan_index", noting)
+    return largest
+
+
+def test_a_record_without_a_safe_point_grows_its_block(monkeypatch):
+    # One 100 KiB string holds no structural comma: the block grows until the
+    # record ends, as it always did.
+    from rawfilter.cli import _run_stream
+
+    ast = parse_query(MALFORMED_QUERY)
+    cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, 2), PredicateConfig(Mode.FLAT, "N")))
+    record = b'{"temperature":"' + b"7" * (100 << 10) + b'"}'
+    data = fuzz_stream(17, 20) + record + b"\n" + fuzz_stream(18, 20)
+    expr = compile_filter(ast, cfg)
+    expected = b"".join(s.slice(data) + b"\n" for s in segment_records(data) if accepts(expr, s.slice(data)))
+    monkeypatch.setattr(batch, "_BLOCK_BYTES", 1 << 14)
+    largest = _largest_index(monkeypatch)
+    out = io.BytesIO()
+    _run_stream(ast, cfg, io.BytesIO(data), out, chunk_bytes=1 << 16)
+    assert out.getvalue() == expected
+    assert largest[0] >= len(record)
+
+
+@pytest.mark.parametrize("mode, block", [(Mode.FLAT, 1), (Mode.FLAT, "N"), (Mode.SCOPED, 2)])
+def test_a_pattern_holding_a_comma_keeps_records_whole(mode, block, monkeypatch):
+    # Its only occurrence spans a structural comma: a cut just past that comma
+    # would split the gram-hit run or the exact occurrence, so a plan with
+    # such a pattern grows the block instead of cutting.
+    from rawfilter.cli import _run_stream
+
+    ast = parse_query('(1 <= "a,b" <= 5)')
+    cfg = FilterConfig((PredicateConfig(mode, block),))
+    record = b'[[' + b",".join([b"0"] * 2000) + b",1a,b1]]"
+    data = fuzz_stream(19, 5) + record + b"\n" + fuzz_stream(20, 5)
+    expr = compile_filter(ast, cfg)
+    assert accepts(expr, record)
+    expected = b"".join(s.slice(data) + b"\n" for s in segment_records(data) if accepts(expr, s.slice(data)))
+    for size in (7, 61, 509):
+        monkeypatch.setattr(batch, "_BLOCK_BYTES", size)
+        largest = _largest_index(monkeypatch)
+        out = io.BytesIO()
+        _run_stream(ast, cfg, io.BytesIO(data), out, chunk_bytes=4096)
+        monkeypatch.undo()
+        assert out.getvalue() == expected, size
+        assert largest[0] >= len(record), size
+
+
+def test_run_memory_follows_the_block_within_one_record(monkeypatch):
+    # A record longer than a block is cut at safe points and held as its
+    # pieces: the traced peak is the block's tables, the reads and the
+    # record's bytes about once, where an index over the whole record costs
+    # about 11 times its size.
+    import tracemalloc
+
+    from rawfilter.cli import _run_stream
+
+    class Discard:
+        def write(self, data):
+            return len(data)
+
+    block, read = 1 << 14, 1 << 18
+    monkeypatch.setattr(batch, "_BLOCK_BYTES", block)
+    ast = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
+    cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, 2)))
+    for blocks in (64, 128):
+        record = merged_senml_record(21, blocks * block)
+        source = io.BytesIO(record + b"\n")
+        tracemalloc.start()
+        try:
+            stats = _run_stream(ast, cfg, source, Discard(), chunk_bytes=read)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["records_in"] == 1
+        assert peak < 16 * block + 3 * read + 2 * len(record), (blocks, peak, len(record))
