@@ -91,7 +91,7 @@ class ScanIndex:
     raw: bytes  # the buffer, translated byte by byte by the 1-gram string matcher
     data: np.ndarray  # uint8 view of raw, not a copy
     brackets: np.ndarray  # -1, then the structural brackets; a close at level 0 is content, not listed
-    depth: np.ndarray  # 0, then the nesting depth after each bracket
+    depth: np.ndarray  # the start depth, then the nesting depth after each bracket
     open_pos: np.ndarray  # structural opens
     commas: np.ndarray  # structural commas
     comma_level: np.ndarray  # level of each structural comma
@@ -99,6 +99,7 @@ class ScanIndex:
     rec_ends: np.ndarray  # exclusive
     rec_malformed: np.ndarray  # bool
     scanned_bytes: int  # bytes indexed to build it: raw, plus failed attempts in a stream
+    cut_depth: int = 0  # levels open where the last record is cut, to go on in the next block
 
     # Caches built on first use; a copy made by `dataclasses.replace` starts empty.
     _starts: dict = field(init=False, default_factory=dict)  # Mode -> start table
@@ -109,18 +110,32 @@ class ScanIndex:
     def n_records(self) -> int:
         return len(self.rec_starts)
 
+    @property
+    def n_ended(self) -> int:
+        """Records that end in this buffer: all but a cut last one."""
+        return self.n_records - (self.cut_depth > 0)
+
+    @property
+    def start_depth(self) -> int:
+        """Levels open at the buffer's start: its first record continues a
+        record cut at that depth."""
+        return int(self.depth[0])
+
     def start_table(self, mode: Mode) -> np.ndarray:
         """Sorted start keys, level * (n + 1) + position, built on first use.
 
         Under SCOPED: every structural open at its depth and every kept
         record start at level 0, one row per scope. Under KEYVALUE also
         comma + 1 at each structural comma's level, one row per segment.
+        The scopes and segments of a continued record that are open at the
+        buffer's start start at position 0.
         """
         table = self._starts.get(mode)
         if table is None:
-            is_open = np.diff(self.depth, prepend=0) > 0
-            levels = [self.depth[is_open], np.zeros(self.n_records, dtype=np.int64)]
-            starts = [self.open_pos, self.rec_starts]
+            is_open = np.diff(self.depth, prepend=self.depth[0]) > 0
+            continued = np.arange(1, self.start_depth + 1)
+            levels = [self.depth[is_open], np.zeros(self.n_records, dtype=np.int64), continued]
+            starts = [self.open_pos, self.rec_starts, np.zeros(len(continued), dtype=np.int64)]
             if mode is Mode.KEYVALUE:
                 levels.append(self.comma_level)
                 starts.append(self.commas + 1)
@@ -132,6 +147,13 @@ class ScanIndex:
         """Row of each position's scope (SCOPED) or segment (KEYVALUE) in the
         start table: the last start at its level at or before it."""
         keys = _start_keys(self.level_at(positions), positions, len(self.data))
+        return np.searchsorted(self.start_table(mode), keys, side="right") - 1
+
+    def open_rows(self, mode: Mode, position: int, depth: int) -> np.ndarray:
+        """Rows of the scopes (SCOPED) or segments (KEYVALUE) open at levels
+        1..depth at a position."""
+        levels = np.arange(1, depth + 1)
+        keys = _start_keys(levels, np.full(depth, position, dtype=np.int64), len(self.data))
         return np.searchsorted(self.start_table(mode), keys, side="right") - 1
 
     def level_at(self, positions) -> np.ndarray:
@@ -262,6 +284,28 @@ def drop_last_record(index: ScanIndex) -> ScanIndex:
     )
 
 
+def _cut_point(index: ScanIndex) -> int:
+    """Just past the last structural comma before the last byte of a buffer
+    that holds nothing but one unfinished bracketed record; 0 when there is
+    none. A scalar record runs to its line's end whatever its brackets do,
+    so it is never cut; a cut before the last byte leaves the next block
+    a byte to start the record's next piece with."""
+    if index.n_records != 1:
+        return 0
+    bracketed = index.start_depth or (index.data[index.rec_starts[0]] | 0x20) == _OPEN
+    k = np.searchsorted(index.commas, len(index.data) - 1) - 1
+    return int(index.commas[k]) + 1 if bracketed and index.depth[-1] and k >= 0 else 0
+
+
+def cut_last_record(index: ScanIndex, end: int) -> ScanIndex:
+    """A copy of the index whose last record stops at `end`, just past a
+    structural comma, to go on in the next block. Primitives then ignore
+    every position from there: no numeric token spans a comma, and no
+    escape is pending at one."""
+    level = int(index.comma_level[np.searchsorted(index.commas, end - 1)])
+    return replace(index, rec_ends=np.append(index.rec_ends[:-1], end), cut_depth=level)
+
+
 def _structural_bytes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions and bytes of every quote, backslash, bracket, comma and
     newline, by byte compares."""
@@ -309,9 +353,14 @@ def _real_quotes(pos: np.ndarray, byte: np.ndarray) -> np.ndarray:
     return quote
 
 
-def build_scan_index(data: bytes) -> ScanIndex:
+def build_scan_index(data: bytes, depth: int = 0) -> ScanIndex:
     """Structural index of a buffer, equal to `scanner.iter_events` and
-    `scanner.segment_records` on every input."""
+    `scanner.segment_records` on every input.
+
+    With `depth` > 0 the buffer starts inside a bracketed record, that many
+    levels deep, outside any string: its first record continues that one
+    from position 0.
+    """
     d = np.frombuffer(data, dtype=np.uint8)
     n = len(d)
     pos, byte = _structural_bytes(d)
@@ -325,28 +374,30 @@ def build_scan_index(data: bytes) -> ScanIndex:
     folded = byte | 0x20
     is_open = folded == _OPEN
     is_close = folded == _CLOSE
-    depth = np.cumsum(is_open.view(np.int8) - is_close.view(np.int8), dtype=np.int64)
+    nesting = np.cumsum(is_open.view(np.int8) - is_close.view(np.int8), dtype=np.int64)
+    nesting += depth
     underflow = _EMPTY
-    if len(depth) and int(depth.min()) < 0:
+    if len(nesting) and int(nesting.min()) < 0:
         # A close at level 0 is plain content: clamp the depth at zero.
-        floor = np.minimum(np.minimum.accumulate(depth), 0)
+        floor = np.minimum(np.minimum.accumulate(nesting), 0)
         dropped = np.flatnonzero(np.diff(floor, prepend=0))
-        depth -= floor
+        nesting -= floor
         is_close[dropped] = False
         underflow = pos[dropped]
     bracket_at = np.flatnonzero(is_open | is_close)
     is_comma = byte == _COMMA
     open_pos = pos[is_open]
-    top_opens = pos[is_open & (depth == 1)]
-    end_positions = pos[is_close & (depth == 0)]
-    line_ends = np.append(pos[(byte == _NEWLINE) & (depth == 0)], n)
+    top_opens = pos[is_open & (nesting == 1)]
+    end_positions = pos[is_close & (nesting == 0)]
+    line_ends = np.append(pos[(byte == _NEWLINE) & (nesting == 0)], n)
 
     # Records: split into lines at depth-0 newlines. On each line, depth-0
     # opens start bracketed records until the first depth-0 byte that is
     # neither whitespace nor an open; that byte starts a scalar record which
     # runs to the line's end. Depth-0 bytes lie in the gaps before each
-    # top-level open and after each return to depth 0.
-    gap_starts = np.concatenate(([0], end_positions + 1))
+    # top-level open and after each return to depth 0; a continued record
+    # leaves no gap before its end.
+    gap_starts = end_positions + 1 if depth else np.concatenate(([0], end_positions + 1))
     gap_ends = np.append(top_opens, n)[: len(gap_starts)]
     gap = _expand(gap_starts, gap_ends - gap_starts)
     scalar = gap[~np.isin(d[gap], _WHITESPACE)]
@@ -361,6 +412,8 @@ def build_scan_index(data: bytes) -> ScanIndex:
     line_scalar = np.full(len(line_ends), n, dtype=np.int64)
     line_scalar[scalar_line] = scalar
     bracketed = top_opens[top_opens < line_scalar[np.searchsorted(line_ends, top_opens)]]
+    if depth:
+        bracketed = np.concatenate(([0], bracketed))
     close_at = np.searchsorted(end_positions, bracketed)
     unclosed = close_at == len(end_positions)
     bracketed_ends = np.where(unclosed, n, np.append(end_positions, n)[close_at] + 1)
@@ -371,10 +424,10 @@ def build_scan_index(data: bytes) -> ScanIndex:
         raw=data,
         data=d,
         brackets=np.concatenate(([-1], pos[bracket_at])),
-        depth=np.concatenate(([0], depth[bracket_at])),
+        depth=np.concatenate(([depth], nesting[bracket_at])),
         open_pos=open_pos,
         commas=pos[is_comma],
-        comma_level=depth[is_comma],
+        comma_level=nesting[is_comma],
         rec_starts=rec_starts[order],
         rec_ends=np.concatenate((bracketed_ends, scalar_ends))[order],
         rec_malformed=np.concatenate((unclosed, scalar_malformed))[order],
@@ -480,16 +533,38 @@ def number_fire_positions(index: ScanIndex, rdfa: RangeDfa):
 # --- cached per-primitive record results ---------------------------------------
 
 
-class PrimitiveFires:
-    """Per-record latch flags, and each fire's scope or segment for conjunction."""
+@dataclass
+class RecordCarry:
+    """Filter state of a record cut at a safe point, carried into its next
+    piece: per primitive (keyed as in `CorpusIndex`'s cache) its latch and,
+    per conjunction mode, whether it fired in the scope (SCOPED) or segment
+    (KEYVALUE) open at each level 1..depth of the cut; per SCOPED or
+    KEYVALUE plan leaf its verdict so far."""
 
-    def __init__(self, index: ScanIndex, attr_pos: np.ndarray, records: np.ndarray):
+    latches: dict = field(default_factory=dict)  # primitive key -> bool
+    open_fires: dict = field(default_factory=dict)  # (primitive key, mode) -> bool per open level
+    verdicts: dict = field(default_factory=dict)  # PlanLeaf -> bool
+
+
+class PrimitiveFires:
+    """Per-record latch flags, and each fire's scope or segment for conjunction.
+
+    When the index's first record continues a cut one, `carry` holds that
+    record's state and `key` names this primitive in it.
+    """
+
+    def __init__(self, index: ScanIndex, attr_pos: np.ndarray, records: np.ndarray,
+                 carry: RecordCarry | None = None, key=None):
         self._index = index
         self.positions = attr_pos  # where scope/segment attribution is taken
         self.records = records  # the kept record of each fire
         self.latch = np.zeros(index.n_records, dtype=bool)
         self.latch[records] = True
+        self._carry, self.key = carry, key
+        if carry is not None:
+            self.latch[0] |= carry.latches[key]
         self._rows: dict = {}
+        self._scopes: dict = {}
 
     def rows(self, mode: Mode) -> np.ndarray:
         """Row of each fire in the index's start table of the mode, found on first use."""
@@ -498,13 +573,30 @@ class PrimitiveFires:
             rows = self._rows[mode] = self._index.start_rows(mode, self.positions)
         return rows
 
+    def scopes(self, mode: Mode) -> np.ndarray:
+        """Per row of the start table: a fire lies in that scope or segment,
+        before the buffer's start too; built on first use."""
+        seen = self._scopes.get(mode)
+        if seen is None:
+            index = self._index
+            seen = self._scopes[mode] = np.zeros(len(index.start_table(mode)), dtype=bool)
+            seen[self.rows(mode)] = True
+            if self._carry is not None:
+                seen[index.open_rows(mode, 0, index.start_depth)] |= self._carry.open_fires[self.key, mode]
+        return seen
+
 
 class CorpusIndex:
     """Scanned corpus plus a cache of primitive fires and per-predicate
-    accept vectors, shared by every configuration evaluated over it."""
+    accept vectors, shared by every configuration evaluated over it.
 
-    def __init__(self, data: bytes, index: ScanIndex | None = None):
+    `carry` is the state of the record that the index's first record
+    continues, when the index is a piece of a stream cut inside a record.
+    """
+
+    def __init__(self, data: bytes, index: ScanIndex | None = None, carry: RecordCarry | None = None):
         self.index = index if index is not None else build_scan_index(data)
+        self.carry = carry
         self._cache: dict = {}
 
     @property
@@ -520,14 +612,15 @@ class CorpusIndex:
         key = ("s", pattern, block)
         if key not in self._cache:
             pos = string_fire_positions(self.index, pattern, block)
-            self._cache[key] = PrimitiveFires(self.index, pos, self.index.record_of(pos))
+            self._cache[key] = PrimitiveFires(self.index, pos, self.index.record_of(pos), self.carry, key)
         return self._cache[key]
 
     def range_fires(self, bound) -> PrimitiveFires:
         key = ("v", bound)
         if key not in self._cache:
             rdfa = build_range_dfa(bound)
-            self._cache[key] = PrimitiveFires(self.index, *number_fire_positions(self.index, rdfa)[1:])
+            fires = number_fire_positions(self.index, rdfa)[1:]
+            self._cache[key] = PrimitiveFires(self.index, *fires, self.carry, key)
         return self._cache[key]
 
     def predicate_vector(self, leaf: PlanLeaf) -> np.ndarray:
@@ -547,13 +640,35 @@ class CorpusIndex:
                 else:
                     # SCOPED, KEYVALUE: a string fire that shares its scope or
                     # segment, a row of the start table, with a value fire.
-                    marked = np.zeros(len(self.index.start_table(mode)), dtype=bool)
-                    marked[value.rows(mode)] = True
+                    marked = value.scopes(mode)
                     vector = np.zeros(self.n_records, dtype=bool)
                     vector[string.records[marked[string.rows(mode)]]] = True
+                    if self.carry is not None:
+                        # Or one before the buffer's start, in a scope still open.
+                        rows = self.index.open_rows(mode, 0, self.index.start_depth)
+                        before = self.carry.open_fires[string.key, mode] & marked[rows]
+                        vector[0] |= self.carry.verdicts[leaf] or before.any()
             vector.flags.writeable = False
             self._cache[key] = vector
         return vector
+
+    def carry_out(self, plan: Plan) -> RecordCarry:
+        """The filter state of the index's cut last record, for its next piece."""
+        index = self.index
+        carry = RecordCarry()
+        for leaf in plan_leaves(plan):
+            pred, mode, block = leaf
+            primitives = [self.range_fires(pred.bound)]
+            if block is not None:
+                primitives.append(self.string_fires(pred.pattern, block))
+            for fires in primitives:
+                carry.latches[fires.key] = bool(fires.latch[-1])
+            if mode in (Mode.SCOPED, Mode.KEYVALUE):
+                carry.verdicts[leaf] = bool(self.predicate_vector(leaf)[-1])
+                rows = index.open_rows(mode, int(index.rec_ends[-1]), index.cut_depth)
+                for fires in primitives:
+                    carry.open_fires[fires.key, mode] = fires.scopes(mode)[rows]
+        return carry
 
 
 # --- config evaluation over a corpus -------------------------------------------
@@ -579,34 +694,45 @@ def evaluate_config_batch(corpus: CorpusIndex, ast: QueryAst, cfg) -> np.ndarray
 
 
 def primitive_fire_counts(corpus: CorpusIndex, ast: QueryAst, cfg) -> dict:
-    """Records latched per primitive, keyed by notation."""
+    """Records latched per primitive, keyed by notation; a record cut at the
+    end of the buffer counts where it ends."""
     counts: dict[str, int] = {}
+    n = corpus.index.n_ended
     for leaf in plan_leaves(validate_config(ast, cfg)):
         value = corpus.range_fires(leaf.pred.bound)
-        counts[leaf.pred.bound.notation()] = int(value.latch.sum())
+        counts[leaf.pred.bound.notation()] = int(value.latch[:n].sum())
         if leaf.block is not None:
             string = corpus.string_fires(leaf.pred.pattern, leaf.block)
-            counts[string_notation(leaf)] = int(string.latch.sum())
+            counts[string_notation(leaf)] = int(string.latch[:n].sum())
     return counts
 
 
 # --- streaming over large inputs ------------------------------------------------
 
 
-def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22):
-    """Yield (ScanIndex, buffer) over record-aligned blocks of a stream.
+def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
+    """Yield (ScanIndex, buffer) over the blocks of a stream.
 
     Reads `chunk_bytes` at a time, and indexes blocks of at most
     `_BLOCK_BYTES` (one read, if that is less) cut from what it has read, so
     the index tables follow the block, not the read. A block's last record,
     which may go on past its end, starts the next block; the bytes a read
-    leaves over are joined to the next read once. A block that holds no
-    whole record is indexed again with everything already read, then with
-    twice as much each time, so a huge record costs linear scanning. Each
-    index's `scanned_bytes` counts those failed attempts too.
+    leaves over are joined to the next read once.
+
+    A block that holds nothing but one unfinished bracketed record is cut
+    just past a structural comma (`cut_last_record`), and the next
+    block starts there, indexed at the cut's depth: a record longer than a
+    block comes as pieces, the last record of one index and the first of
+    the next. A block with no such comma (one huge string or number), a
+    scalar record, and any record when one of the string `patterns` holds a
+    comma (a run of gram hits or an occurrence could span the cut) are
+    indexed again with everything already read, then with twice as much
+    each time, so a huge record costs linear scanning. Each index's
+    `scanned_bytes` counts those failed attempts too.
     """
     limit = min(_BLOCK_BYTES, chunk_bytes)
-    size, retried = limit, 0
+    cuts = not any(b"," in pattern for pattern in patterns)
+    size, retried, depth = limit, 0, 0
     data, pos, eof = b"", 0, False
     while True:
         if not eof and len(data) - pos < size:
@@ -624,21 +750,24 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22):
         if pos == len(data):
             break
         buffer = data[pos : pos + size]
-        index = build_scan_index(buffer)
+        index = build_scan_index(buffer, depth)
         # At the end of the stream less than a block is left: the block is
         # the rest of it, and its last record ends there.
         if not eof:
             if not index.n_records or index.n_records == 1 and int(index.rec_ends[0]) == len(buffer):
-                # No record, or one that may go on.
-                retried += len(buffer)
-                size = len(data) - pos if len(data) - pos > size else 2 * size
-                continue
-            if int(index.rec_ends[-1]) == len(buffer):
+                # No record, or one that may go on: cut it, or grow the block.
+                cut = _cut_point(index) if cuts else 0
+                if not cut:
+                    retried += len(buffer)
+                    size = len(data) - pos if len(data) - pos > size else 2 * size
+                    continue
+                buffer, index = buffer[:cut], cut_last_record(index, cut)
+            elif int(index.rec_ends[-1]) == len(buffer):
                 buffer = buffer[: int(index.rec_starts[-1])]
                 index = drop_last_record(index)
         index.scanned_bytes += retried
         pos += len(buffer)
-        size, retried = limit, 0
+        size, retried, depth = limit, 0, index.cut_depth
         yield index, buffer
         # Hold no reference while the next block is indexed, so a consumer
         # that drops its own frees this one first.

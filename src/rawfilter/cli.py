@@ -145,27 +145,45 @@ def cmd_compile(args) -> int:
 
 
 def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 << 22) -> dict:
-    """Filter `source`, read `chunk_bytes` at a time, one record-aligned
-    index block at a time; accepted records go to `out`. Only `workers=1` is
+    """Filter `source`, read `chunk_bytes` at a time, one index block at a
+    time; accepted records go to `out`. A record longer than a block comes
+    in pieces: its filter state goes on from each piece to the next, and its
+    pieces are held until the last one decides it. Only `workers=1` is
     accepted: there is one driver."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
+    plan = validate_config(ast, cfg)
+    patterns = [leaf.pred.pattern for leaf in plan_leaves(plan) if leaf.block is not None]
     records_in = records_out = bytes_in = scanned = malformed = chunks = largest = 0
     fires: dict[str, int] = {}
+    carry, held = None, []  # the state and the pieces so far of a record cut at a block's end
     started = time.perf_counter()
-    for index, buffer in iter_chunk_indexes(source, chunk_bytes):
-        corpus = CorpusIndex(buffer, index)
+    for index, buffer in iter_chunk_indexes(source, chunk_bytes, patterns):
+        corpus = CorpusIndex(buffer, index, carry)
         accepts = evaluate_config_batch(corpus, ast, cfg)
         for key, count in primitive_fire_counts(corpus, ast, cfg).items():
             fires[key] = fires.get(key, 0) + count
-        starts, ends = index.rec_starts, index.rec_ends
         chunks += 1
-        if len(starts):
-            largest = max(largest, int((ends - starts).max()))
-        records_in += len(starts)
         bytes_in += len(buffer)
         scanned += index.scanned_bytes
-        malformed += int(index.rec_malformed.sum())
+        n = index.n_ended
+        starts, ends, accepts = index.rec_starts[:n], index.rec_ends[:n], accepts[:n]
+        lengths = ends - starts
+        if held and n:
+            # The first record ends here: its earlier pieces go first.
+            lengths[0] += sum(len(piece) for piece in held)
+            if accepts[0]:
+                for piece in held:
+                    out.write(piece)
+            held = []
+        if n:
+            largest = max(largest, int(lengths.max()))
+        records_in += n
+        malformed += int(index.rec_malformed[:n].sum())
+        carry = None
+        if index.cut_depth:
+            carry = corpus.carry_out(plan)
+            held.append(buffer[int(index.rec_starts[-1]) :])
         starts, ends = starts[accepts].tolist(), ends[accepts].tolist()
         records_out += len(starts)
         kept = [buffer[s:e] for s, e in zip(starts, ends)]

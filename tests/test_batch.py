@@ -485,9 +485,9 @@ def test_run_frees_each_chunk_before_indexing_the_next(monkeypatch):
     built = []
     build = batch.build_scan_index
 
-    def build_checked(buffer):
+    def build_checked(buffer, *args):
         assert [ref() for ref in built if ref() is not None] == []
-        index = build(buffer)
+        index = build(buffer, *args)
         built.append(weakref.ref(index))
         return index
 
@@ -536,14 +536,26 @@ def test_scoped_plan_builds_no_segment_table():
     assert list(corpus.index._starts) == [Mode.SCOPED, Mode.KEYVALUE]
 
 
+def joined_records(chunks) -> list[tuple[bytes, bool]]:
+    """(bytes, malformed) of each record over `iter_chunk_indexes`' blocks; a
+    record cut at a block's end is joined with its pieces in the next ones."""
+    records, pieces = [], []
+    for index, buffer in chunks:
+        spans = zip(index.rec_starts.tolist(), index.rec_ends.tolist(), index.rec_malformed.tolist())
+        for k, (start, end, malformed) in enumerate(spans):
+            pieces.append(buffer[start:end])
+            if k < index.n_ended:
+                records.append((b"".join(pieces), malformed))
+                pieces = []
+    assert not pieces
+    return records
+
+
 def test_chunked_iteration_recovers_all_records():
     for data in (fuzz_stream(10), malformed_stream(0)):
         expected = [(s.slice(data), s.malformed) for s in segment_records(data)]
         for chunk_bytes in (7, 64, 512, 4096, 1 << 20):
-            collected = []
-            for index, buffer in iter_chunk_indexes(io.BytesIO(data), chunk_bytes):
-                for start, end, malformed in zip(index.rec_starts, index.rec_ends, index.rec_malformed):
-                    collected.append((buffer[int(start) : int(end)], bool(malformed)))
+            collected = joined_records(iter_chunk_indexes(io.BytesIO(data), chunk_bytes))
             assert collected == expected, chunk_bytes
 
 
@@ -619,33 +631,61 @@ def test_run_memory_follows_the_block(monkeypatch):
     assert peaks[1] < 1.2 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_piece_indexed_at_its_depth_matches_the_reference(seed):
+    # The rest of a stream after a structural comma inside a record, indexed
+    # at that comma's level: levels, opens, commas and record spans equal
+    # the reference's over the whole stream, and the continued record's open
+    # scopes and segments start at position 0.
+    data = cut_stream()[:20000] + malformed_stream(seed)
+    events = reference_arrays(data)
+    spans = segment_records(data)
+    rng = random.Random(seed)
+    # Commas inside bracketed records: a scalar record is never cut.
+    bracketed = [(s.start, s.end) for s in spans if data[s.start] in b"{["]
+    commas = [e for e in events if e.structural_comma and any(a < e.offset < b for a, b in bracketed)]
+    for comma in rng.sample(commas, 40):
+        cut = comma.offset + 1
+        index = build_scan_index(data[cut:], comma.level)
+        rest = events[cut:]
+        assert index.start_depth == comma.level > 0
+        assert index.level_at(np.arange(len(rest))).tolist() == [e.level for e in rest]
+        assert index.open_pos.tolist() == [e.offset - cut for e in rest if not e.in_string and e.byte in b"{["]
+        assert list(zip(index.commas.tolist(), index.comma_level.tolist())) == [
+            (e.offset - cut, e.level) for e in rest if e.structural_comma
+        ]
+        continued = next(s for s in spans if s.start < cut <= s.end)
+        expected = [(0, continued.end - cut, continued.malformed)]
+        expected += [(s.start - cut, s.end - cut, s.malformed) for s in spans if s.start >= cut]
+        assert [(s.start, s.end, s.malformed) for s in index.spans()] == expected
+        for mode in (Mode.SCOPED, Mode.KEYVALUE):
+            rows = index.open_rows(mode, 0, comma.level)
+            assert index.start_table(mode)[rows].tolist() == [level * (len(rest) + 1) for level in range(1, comma.level + 1)]
+
+
 def test_single_record_larger_than_chunk():
     inner = b",".join(b'{"v":%d}' % i for i in range(2000))
     data = b'{"e":[' + inner + b"]}"
     chunks = list(iter_chunk_indexes(io.BytesIO(data), 128))
-    payloads = [
-        buffer[int(s) : int(e)]
-        for index, buffer in chunks
-        for s, e in zip(index.rec_starts, index.rec_ends)
-    ]
-    assert payloads == [data]
+    assert len(chunks) > 1
+    assert [record for record, _ in joined_records(chunks)] == [data]
 
 
 def test_single_record_carry_scans_linear_bytes(monkeypatch):
-    # A record that outgrows every chunk doubles the buffer on each carry, so
-    # the bytes rescanned stay within a constant factor of the record.
+    # A record that outgrows every chunk is cut just past a comma, so the
+    # bytes indexed twice are the short tails after each cut.
     inner = b",".join(b'{"v":%d}' % i for i in range(2000))
     data = b'{"e":[' + inner + b"]}"
     scanned = []
 
-    def counting(buffer):
+    def counting(buffer, *args):
         scanned.append(len(buffer))
-        return build_scan_index(buffer)
+        return build_scan_index(buffer, *args)
 
     monkeypatch.setattr(batch, "build_scan_index", counting)
     chunks = list(iter_chunk_indexes(io.BytesIO(data), 128))
-    assert [buffer for _, buffer in chunks] == [data]
-    assert sum(scanned) <= 4 * len(data), (len(scanned), sum(scanned))
+    assert [record for record, _ in joined_records(chunks)] == [data]
+    assert sum(scanned) <= 2 * len(data), (len(scanned), sum(scanned))
     assert sum(index.scanned_bytes for index, _ in chunks) == sum(scanned)
 
 
