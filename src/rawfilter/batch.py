@@ -165,13 +165,6 @@ class ScanIndex:
         on_close = (self.brackets[k] == pos) & ((self.data[pos] | 0x20) == _CLOSE)
         return self.depth[k] + on_close
 
-    def in_string_at(self, positions) -> np.ndarray:
-        """`scanner.ScanEvent.in_string` at each position. Recomputes the
-        quotes from the buffer, so it is meant for checks, not primitives."""
-        pos, byte = _structural_bytes(self.data)
-        quotes = pos[_real_quotes(pos, byte)]
-        return (np.searchsorted(quotes, np.asarray(positions, dtype=np.int64)) & 1) == 1
-
     def numeric_tokens(self) -> tuple:
         """Digit-bearing token geometry and records, shared by every range
         primitive.

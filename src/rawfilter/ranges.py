@@ -300,27 +300,61 @@ def derive_range_dfa(bound: NumericBound) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _minimize(rows: np.ndarray, accepting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moore partition refinement of a table whose last row is the dead sink.
+    """Coarsest partition of a table whose last row is the dead sink.
+
+    Every cycle of a derived range DFA is a self-loop: each side's comparison
+    state only stays or moves on. So states are classed in reverse
+    topological order, each from its successors' classes, as for an acyclic
+    automaton (Revuz), in time linear in the table. A state joins a class
+    when its signature (accept flag, successor classes, its self-loops read
+    as that class) equals the class's own: each class is keyed by its
+    signature with its own number read as a self-loop.
 
     States equivalent to the sink join its block, which stays the last row;
     the other blocks are numbered by their first state, so the start stays
     state 0 (the bound's own spelling is accepted: no language is empty).
     """
     succ = rows.tolist()
-    block = accepting.astype(int).tolist()
-    while True:
-        ids: dict = {}
-        new = [ids.setdefault((b, *[block[d] for d in row]), len(ids)) for b, row in zip(block, succ)]
-        if new == block:
-            break
-        block = new
-    # Blocks are numbered by first state already; move the sink's block last.
-    n, dead = len(ids), block[-1]
-    renumber = np.arange(n) - (np.arange(n) > dead)
-    renumber[dead] = n - 1
-    block = renumber[block]
+    n = len(succ)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n
+    for s, row in enumerate(succ):
+        targets = set(row) - {s}
+        waiting[s] = len(targets)
+        for t in targets:
+            preds[t].append(s)
+    order = [s for s in range(n) if not waiting[s]]
+    for s in order:  # grows while it is walked: Kahn's algorithm
+        for p in preds[s]:
+            waiting[p] -= 1
+            if not waiting[p]:
+                order.append(p)
+    if len(order) != n:
+        raise ValueError("range DFA has a cycle other than a self-loop")
+    self_loop = -1
+    block = [0] * n
+    classes: dict = {}  # signature, the class's own number read as a self-loop -> class
+    for s in order:
+        sig = (bool(accepting[s]), *[self_loop if t == s else block[t] for t in succ[s]])
+        found = classes.get(sig)
+        if found is None:
+            for c in set(sig[1:]) - {self_loop}:
+                if classes.get((sig[0], *[self_loop if b == c else b for b in sig[1:]])) == c:
+                    found = c
+                    break
+            else:
+                found = classes[sig] = len(classes)
+        block[s] = found
+    # Number blocks by first state, the sink's block last.
+    first: dict = {}
+    for b in block:
+        first.setdefault(b, len(first))
+    k, dead = len(first), first[block[-1]]
+    renumber = np.arange(k) - (np.arange(k) > dead)
+    renumber[dead] = k - 1
+    block = renumber[[first[b] for b in block]]
     firsts = np.unique(block, return_index=True)[1]
-    return block[rows[firsts]].astype(np.int16), accepting[firsts]
+    return block[rows[firsts]], accepting[firsts]
 
 
 # Byte -> RANGE_ALPHABET column: the symbol 'e' covers both exponent letters.
@@ -334,21 +368,14 @@ class RangeDfa:
     def __init__(self, bound: NumericBound):
         self.bound = bound
         rows, accepting = _minimize(*derive_range_dfa(bound))
+        if len(rows) > 1 << 15:
+            raise ConfigError(f"a range needs {len(rows) - 1} DFA states; its int16 table holds at most 32767")
         self.state_count = self.dead = len(rows) - 1
         self.input_classes = len({tuple(column) for column in rows[:-1].T.tolist()})
         # Byte-indexed table; the dead row absorbs, as do all non-numeric bytes.
         self.table = np.full((len(rows), 256), self.dead, dtype=np.int16)
         self.table[:, _SYMBOL_BYTES] = rows[:, _SYMBOL_COLUMNS]
         self.accept_mask = accepting
-
-    def accepts_token(self, token: str | bytes) -> bool:
-        """DFA verdict on one complete token (no exponent heuristic)."""
-        if isinstance(token, str):
-            token = token.encode()
-        state = 0
-        for b in token:
-            state = self.table[state, b]
-        return bool(self.accept_mask[state])
 
     def __repr__(self):
         return f"RangeDfa({self.bound.notation()}, states={self.state_count})"

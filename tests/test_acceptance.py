@@ -38,6 +38,7 @@ from rawfilter.scanner import iter_events
 from rawfilter.strings import ExactMatcher, SubstringBlockMatcher, build_substring_set
 
 from conftest import LISTING_RECORD, random_json_record, stdlib_in_string_mask
+from probes import accepts_token, in_string_at
 
 
 def ok(num: int, text: str) -> None:
@@ -132,9 +133,9 @@ def test_criterion_03_confusable_key_blocks():
 def test_criterion_04_lower_bound_dfa_shape():
     dfa = RangeDfa(NumericBound(Decimal(35), None))
     for token in ["35", "36", "99", "340", "120", "70"]:
-        assert dfa.accepts_token(token), token
+        assert accepts_token(dfa, token), token
     for token in ["34", "12", "7", "0", "29"]:
-        assert not dfa.accepts_token(token), token
+        assert not accepts_token(dfa, token), token
     assert dfa.state_count == 5
     ok(4, "i >= 35 automaton: accept/reject sets exact, minimized to 5 states")
 
@@ -236,7 +237,7 @@ def test_criterion_08_string_mask_equivalence():
     expected = stdlib_in_string_mask(text)
     got_reference = [ev.in_string for ev in iter_events(stream)]
     assert got_reference == expected
-    got_batch = build_scan_index(stream).in_string_at(np.arange(len(stream)))
+    got_batch = in_string_at(build_scan_index(stream), np.arange(len(stream)))
     assert np.array_equal(got_batch, np.asarray(expected))
     ok(8, f"string mask equals the stdlib tokenizer on {len(records)} records "
           f"({len(stream)} bytes), reference and batch paths")

@@ -43,6 +43,7 @@ from conftest import (
     random_json_record,
     senml_record,
 )
+from probes import in_string_at
 
 
 def fuzz_stream(seed: int, n: int = 150) -> bytes:
@@ -71,7 +72,7 @@ def test_masks_levels_and_spans_match_reference(seed):
     index = build_scan_index(data)
     events = reference_arrays(data)
     every = np.arange(len(data))
-    assert index.in_string_at(every).tolist() == [e.in_string for e in events]
+    assert in_string_at(index, every).tolist() == [e.in_string for e in events]
     assert index.level_at(every).tolist() == [e.level for e in events]
     expected = [(s.start, s.end, s.malformed) for s in segment_records(data)]
     assert expected == [(s.start, s.end, s.malformed) for s in index.spans()]
@@ -112,7 +113,7 @@ def assert_index_matches_reference(data: bytes):
     index = build_scan_index(data)
     events = reference_arrays(data)
     every = np.arange(len(data))
-    assert index.in_string_at(every).tolist() == [e.in_string for e in events], data
+    assert in_string_at(index, every).tolist() == [e.in_string for e in events], data
     assert index.level_at(every).tolist() == [e.level for e in events], data
     expected = [(s.start, s.end, s.malformed) for s in segment_records(data)]
     assert expected == [(s.start, s.end, s.malformed) for s in index.spans()], data

@@ -68,6 +68,15 @@ class TestCompile:
     def test_missing_file_exits_3(self, ws):
         assert run_cli("compile", "--query", ws / "nope.txt", "--config", ws / "scoped.cfg") == 3
 
+    def test_range_past_the_state_table_exits_2(self, tmp_path, capsys):
+        # 8192-digit literals need 32769 DFA states; the byte table is int16.
+        d = 8192
+        (tmp_path / "long.txt").write_text(f'({"1" * d} <= "x" <= {"2" * d}.{"3" * d})\n')
+        (tmp_path / "long.cfg").write_text("x VALUE_ONLY -\n")
+        assert run_cli("compile", "--query", tmp_path / "long.txt", "--config", tmp_path / "long.cfg") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "32767" in err
+
     def test_whitespace_inside_an_attribute_is_kept(self, tmp_path, capfdbinary):
         # Whitespace runs between tokens collapse; the attribute's own do not.
         (tmp_path / "q.txt").write_text('(1  <=\n\t"a  b" <= 5)\n')
