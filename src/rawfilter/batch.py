@@ -25,6 +25,11 @@ those columns until every token sits in the dead row, and the few longest
 tokens' tails byte by byte. A range fire carries its token's record, so its
 latch is a gather, not another search of the record starts.
 
+A stream is indexed in blocks. A record longer than a block is cut just
+past a structural comma, where no string, escape or numeric token is open;
+its next piece is indexed at the comma's depth, and a `RecordCarry` takes
+its latches, verdicts and open-scope fires from one piece to the next.
+
 The index follows the reference scanner on every input, non-JSON included:
 a backslash outside a string is a plain byte, a close bracket at level 0 is
 plain content that marks its record malformed, and a top-level scalar runs
@@ -277,26 +282,23 @@ def drop_last_record(index: ScanIndex) -> ScanIndex:
     )
 
 
-def _cut_point(index: ScanIndex) -> int:
-    """Just past the last structural comma before the last byte of a buffer
-    that holds nothing but one unfinished bracketed record; 0 when there is
-    none. A scalar record runs to its line's end whatever its brackets do,
-    so it is never cut; a cut before the last byte leaves the next block
-    a byte to start the record's next piece with."""
+def cut_last_record(index: ScanIndex) -> ScanIndex | None:
+    """A copy of an index that holds nothing but one unfinished bracketed
+    record, the record stopping just past its last structural comma before
+    the buffer's last byte, to go on in the next block; None when there is
+    no such comma. Primitives then ignore every position from the cut: no
+    numeric token spans a comma, and no escape is pending at one. A scalar
+    record runs to its line's end whatever its brackets do, so it is never
+    cut; a cut before the last byte leaves the next block a byte to start
+    the record's next piece with."""
     if index.n_records != 1:
-        return 0
+        return None
     bracketed = index.start_depth or (index.data[index.rec_starts[0]] | 0x20) == _OPEN
     k = np.searchsorted(index.commas, len(index.data) - 1) - 1
-    return int(index.commas[k]) + 1 if bracketed and index.depth[-1] and k >= 0 else 0
-
-
-def cut_last_record(index: ScanIndex, end: int) -> ScanIndex:
-    """A copy of the index whose last record stops at `end`, just past a
-    structural comma, to go on in the next block. Primitives then ignore
-    every position from there: no numeric token spans a comma, and no
-    escape is pending at one."""
-    level = int(index.comma_level[np.searchsorted(index.commas, end - 1)])
-    return replace(index, rec_ends=np.append(index.rec_ends[:-1], end), cut_depth=level)
+    if not (bracketed and index.depth[-1] and k >= 0):
+        return None
+    end = int(index.commas[k]) + 1
+    return replace(index, rec_ends=np.append(index.rec_ends[:-1], end), cut_depth=int(index.comma_level[k]))
 
 
 def _structural_bytes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -749,12 +751,12 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
         if not eof:
             if not index.n_records or index.n_records == 1 and int(index.rec_ends[0]) == len(buffer):
                 # No record, or one that may go on: cut it, or grow the block.
-                cut = _cut_point(index) if cuts else 0
-                if not cut:
+                cut = cut_last_record(index) if cuts else None
+                if cut is None:
                     retried += len(buffer)
                     size = len(data) - pos if len(data) - pos > size else 2 * size
                     continue
-                buffer, index = buffer[:cut], cut_last_record(index, cut)
+                buffer, index = buffer[: int(cut.rec_ends[-1])], cut
             elif int(index.rec_ends[-1]) == len(buffer):
                 buffer = buffer[: int(index.rec_starts[-1])]
                 index = drop_last_record(index)
