@@ -559,7 +559,6 @@ class PrimitiveFires:
         if carry is not None:
             self.latch[0] |= carry.latches[key]
         self._rows: dict = {}
-        self._scopes: dict = {}
 
     def rows(self, mode: Mode) -> np.ndarray:
         """Row of each fire in the index's start table of the mode, found on first use."""
@@ -570,14 +569,12 @@ class PrimitiveFires:
 
     def scopes(self, mode: Mode) -> np.ndarray:
         """Per row of the start table: a fire lies in that scope or segment,
-        before the buffer's start too; built on first use."""
-        seen = self._scopes.get(mode)
-        if seen is None:
-            index = self._index
-            seen = self._scopes[mode] = np.zeros(len(index.start_table(mode)), dtype=bool)
-            seen[self.rows(mode)] = True
-            if self._carry is not None:
-                seen[index.open_rows(mode, 0, index.start_depth)] |= self._carry.open_fires[self.key, mode]
+        before the buffer's start too."""
+        index = self._index
+        seen = np.zeros(len(index.start_table(mode)), dtype=bool)
+        seen[self.rows(mode)] = True
+        if self._carry is not None:
+            seen[index.open_rows(mode, 0, index.start_depth)] |= self._carry.open_fires[self.key, mode]
         return seen
 
 
