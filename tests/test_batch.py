@@ -600,11 +600,61 @@ def test_chunked_runs_write_the_unchunked_output(cfg, monkeypatch):
             assert stats["rescanned_bytes"] >= 0
 
 
+class ShortReads:
+    """A stream whose reads return at most `most` bytes, as a pipe's or a raw
+    file's may, and that records the size each read asks for."""
+
+    def __init__(self, data: bytes, most: int):
+        self._stream, self._most = io.BytesIO(data), most
+        self.asked: list[int] = []
+
+    def read(self, n: int) -> bytes:
+        self.asked.append(n)
+        return self._stream.read(min(n, self._most))
+
+
+@pytest.mark.parametrize("most", [1, 7, 300])
+def test_short_reads_fill_one_block_at_a_time(most, monkeypatch):
+    # Reads that return less than they ask for still give the unchunked
+    # output. No read asks for more than the block, except while a block
+    # grows: then it asks for at most what the grown block indexes.
+    from rawfilter import cli
+
+    ast = parse_query(MALFORMED_QUERY)
+    cfg = chunk_configs()[-1]
+    expr = compile_filter(ast, cfg)
+    for data in (fuzz_stream(14), malformed_stream(1)):
+        kept = [s.slice(data) for s in segment_records(data) if accepts(expr, s.slice(data))]
+        expected = b"".join(record + b"\n" for record in kept)
+        whole = cli._run_stream(ast, cfg, io.BytesIO(data), io.BytesIO())
+        for block in (7, 61, 509):
+            stream = ShortReads(data, most)
+            ends = []  # per block: reads asked before it, and the most any of them may ask
+
+            def recorded(source, chunk_bytes, patterns):
+                for index, buffer in iter_chunk_indexes(source, chunk_bytes, patterns):
+                    grown = index.scanned_bytes > len(index.raw)
+                    ends.append((len(stream.asked), len(index.raw) if grown else block))
+                    yield index, buffer
+
+            monkeypatch.setattr(batch, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(cli, "iter_chunk_indexes", recorded)
+            out = io.BytesIO()
+            stats = cli._run_stream(ast, cfg, stream, out)
+            monkeypatch.undo()
+            assert out.getvalue() == expected, (block, most)
+            assert _stats_of_the_records(stats) == _stats_of_the_records(whole), (block, most)
+            first = 0
+            for last, most_asked in ends + [(len(stream.asked), block)]:
+                assert max(stream.asked[first:last], default=0) <= most_asked, (block, most)
+                first = last
+
+
 def test_run_memory_follows_the_block(monkeypatch):
-    # Each read is indexed in blocks, so the index tables follow the block:
-    # the traced peak stays within a fixed multiple of the block plus the
-    # read, over 64 and 128 blocks alike. Indexing whole reads peaks at
-    # about 13 reads here.
+    # The stream is read and indexed one block at a time, so the buffer and
+    # the index tables follow the block, not `chunk_bytes`: the traced peak
+    # stays within a fixed multiple of the block, over 64 and 128 blocks
+    # alike. Indexing whole reads peaks at about 13 reads here.
     import tracemalloc
 
     from rawfilter.cli import _run_stream
@@ -628,7 +678,7 @@ def test_run_memory_follows_the_block(monkeypatch):
         finally:
             tracemalloc.stop()
         assert stats["chunks"] >= blocks
-    assert max(peaks) < 16 * block + 3 * read, peaks
+    assert max(peaks) < 32 * block, peaks
     assert peaks[1] < 1.2 * peaks[0], peaks
 
 
@@ -813,8 +863,8 @@ def test_a_pattern_holding_a_comma_keeps_records_whole(mode, block, monkeypatch)
 
 def test_run_memory_follows_the_block_within_one_record(monkeypatch):
     # A record longer than a block is cut at safe points and held as its
-    # pieces: the traced peak is the block's tables, the reads and the
-    # record's bytes about once, where an index over the whole record costs
+    # pieces: the traced peak is the record's bytes about once and the
+    # block's buffer and tables, where an index over the whole record costs
     # about 11 times its size.
     import tracemalloc
 
@@ -838,4 +888,4 @@ def test_run_memory_follows_the_block_within_one_record(monkeypatch):
         finally:
             tracemalloc.stop()
         assert stats["records_in"] == 1
-        assert peak < 16 * block + 3 * read + 2 * len(record), (blocks, peak, len(record))
+        assert peak < len(record) + 28 * block, (blocks, peak, len(record))
