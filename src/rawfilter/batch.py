@@ -705,11 +705,10 @@ def primitive_fire_counts(corpus: CorpusIndex, ast: QueryAst, cfg) -> dict:
 def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
     """Yield (ScanIndex, buffer) over the blocks of a stream.
 
-    Reads `chunk_bytes` at a time, and indexes blocks of at most
-    `_BLOCK_BYTES` (one read, if that is less) cut from what it has read, so
-    the index tables follow the block, not the read. A block's last record,
-    which may go on past its end, starts the next block; the bytes a read
-    leaves over are joined to the next read once.
+    Holds one buffer: reads until it holds a block of `_BLOCK_BYTES` bytes
+    (`chunk_bytes`, if that is less) or the stream ends, indexes it, yields
+    the block and keeps the bytes past its end for the next one. A block's
+    last record, which may go on past its end, starts the next block.
 
     A block that holds nothing but one unfinished bracketed record is cut
     just past a structural comma (`cut_last_record`), and the next
@@ -717,48 +716,39 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
     block comes as pieces, the last record of one index and the first of
     the next. A block with no such comma (one huge string or number), a
     scalar record, and any record when one of the string `patterns` holds a
-    comma (a run of gram hits or an occurrence could span the cut) are
-    indexed again with everything already read, then with twice as much
-    each time, so a huge record costs linear scanning. Each index's
-    `scanned_bytes` counts those failed attempts too.
+    comma (a run of gram hits or an occurrence could span the cut) grow to
+    twice the size and are indexed again, so a huge record costs linear
+    scanning. Each index's `scanned_bytes` counts those failed attempts too.
     """
     limit = min(_BLOCK_BYTES, chunk_bytes)
     cuts = not any(b"," in pattern for pattern in patterns)
     size, retried, depth = limit, 0, 0
-    data, pos, eof = b"", 0, False
+    data, eof = b"", False
     while True:
-        if not eof and len(data) - pos < size:
-            pieces, data = [data[pos:]], b""
-            have = len(pieces[0])
-            while have < size:
-                more = stream.read(chunk_bytes)
-                if not more:
-                    eof = True
-                    break
-                pieces.append(more)
-                have += len(more)
-            data, pos = b"".join(pieces), 0
-            del pieces, more  # only the joined copy stays
-        if pos == len(data):
+        while not eof and len(data) < size:
+            more = stream.read(size - len(data))
+            eof = not more
+            data += more
+        if not data:
             break
-        buffer = data[pos : pos + size]
-        index = build_scan_index(buffer, depth)
-        # At the end of the stream less than a block is left: the block is
-        # the rest of it, and its last record ends there.
+        index = build_scan_index(data, depth)
+        end = len(data)
+        # At the end of the stream the block is the rest of it, and its last
+        # record ends there.
         if not eof:
-            if not index.n_records or index.n_records == 1 and int(index.rec_ends[0]) == len(buffer):
+            if not index.n_records or index.n_records == 1 and int(index.rec_ends[0]) == end:
                 # No record, or one that may go on: cut it, or grow the block.
-                cut = cut_last_record(index) if cuts else None
-                if cut is None:
-                    retried += len(buffer)
-                    size = len(data) - pos if len(data) - pos > size else 2 * size
+                index = cut_last_record(index) if cuts else None
+                if index is None:
+                    retried += end
+                    size *= 2
                     continue
-                buffer, index = buffer[: int(cut.rec_ends[-1])], cut
-            elif int(index.rec_ends[-1]) == len(buffer):
-                buffer = buffer[: int(index.rec_starts[-1])]
+                end = int(index.rec_ends[-1])
+            elif int(index.rec_ends[-1]) == end:
+                end = int(index.rec_starts[-1])
                 index = drop_last_record(index)
         index.scanned_bytes += retried
-        pos += len(buffer)
+        buffer, data = data[:end], data[end:]
         size, retried, depth = limit, 0, index.cut_depth
         yield index, buffer
         # Hold no reference while the next block is indexed, so a consumer
