@@ -190,6 +190,8 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
         kept.append(b"")  # the last record's newline
         out.write(b"\n".join(kept))  # one write per index block
         del corpus, index, buffer  # freed before the next chunk is read and indexed
+    if not chunks:  # an empty stream: every primitive of the plan counts 0
+        fires = primitive_fire_counts(CorpusIndex(b""), ast, cfg)
     elapsed = max(time.perf_counter() - started, 1e-9)
     return {
         "records_in": records_in,

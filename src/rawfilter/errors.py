@@ -16,11 +16,10 @@ class ConfigError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """Raised when the enumerated design space exceeds the configured cap."""
+    """Raised as soon as the enumerated design space exceeds the configured cap."""
 
-    def __init__(self, count, cap):
-        super().__init__(f"design space has {count} configurations, cap is {cap}")
-        self.count = count
+    def __init__(self, cap):
+        super().__init__(f"design space has more than {cap} configurations")
         self.cap = cap
 
 

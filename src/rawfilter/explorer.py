@@ -221,7 +221,7 @@ def enumerate_configs(ast: QueryAst, options: ExplorerOptions = ExplorerOptions(
         if valid[omitted]:
             configs.append(FilterConfig(combo))
             if len(configs) > options.cap:
-                raise CapExceededError(len(configs), options.cap)
+                raise CapExceededError(options.cap)
     return configs
 
 

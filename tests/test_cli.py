@@ -127,6 +127,8 @@ class TestRun:
     def test_run_stats_schema_is_pinned(self, ws, tmp_path, capfdbinary):
         (tmp_path / "empty.ndjson").write_bytes(b"")
         scoped = self.make_descriptor(ws, "scoped")
+        # Every primitive of the plan has a fires key, read or not.
+        fires = ['s1("temperature")', "v(0.7<=f<=35.1)"]
         for dataset, chunks, largest in ((ws / "data.ndjson", 1, len(LISTING_RECORD)), (tmp_path / "empty.ndjson", 0, 0)):
             assert run_cli("run", "--filter", scoped, "--dataset", dataset) == 0
             stats = json.loads(capfdbinary.readouterr().err.splitlines()[-1])
@@ -135,6 +137,7 @@ class TestRun:
                 "records_in", "records_out", "rescanned_bytes", "throughput_mb_s", "wall_s",
             ]
             assert (stats["chunks"], stats["largest_record_bytes"]) == (chunks, largest)
+            assert sorted(stats["fires"]) == fires
             assert stats["rescanned_bytes"] == 0  # one block, indexed once
 
     def test_accepted_records_byte_identical(self, ws, capfdbinary):
@@ -260,14 +263,20 @@ class TestExplore:
         )
         assert (tmp_path / "again.csv").read_text() == (tmp_path / "reports.csv").read_text()
 
-    def test_cap_exceeded_exits_5(self, ws, tmp_path):
+    def test_cap_exceeded_exits_5(self, ws, tmp_path, capsys):
+        # Enumeration stops as soon as it passes the cap, so the error names
+        # the cap, not the design space's 63 configurations.
         corpus = tmp_path / "corpus.ndjson"
         assert run_cli("gen", "--spec", ws / "gen.spec", "--out", corpus) == 0
-        rc = run_cli(
-            "explore", "--query", ws / "q2.txt", "--dataset", corpus,
-            "--out", tmp_path / "r.csv", "--cap", "5",
-        )
-        assert rc == 5
+        capsys.readouterr()
+        for cap in (5, 0):
+            rc = run_cli(
+                "explore", "--query", ws / "q2.txt", "--dataset", corpus,
+                "--out", tmp_path / "r.csv", "--cap", cap,
+            )
+            assert rc == 5
+            assert capsys.readouterr().err == f"error: design space has more than {cap} configurations\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_one_byte_attribute_with_default_blocks(self, tmp_path, capsys):
         (tmp_path / "q.txt").write_text('(0 <= "v" <= 10)\n')
