@@ -45,7 +45,6 @@ import numpy as np
 from .filter import Mode, Plan, PlanAnd, PlanLeaf, plan_leaves, string_notation, validate_config
 from .query import QueryAst
 from .ranges import RangeDfa, build_range_dfa
-from .scanner import RecordSpan
 from .strings import build_substring_set, resolve_block_len
 
 _QUOTE, _BACKSLASH, _COMMA, _NEWLINE = b'"\\,\n'
@@ -251,12 +250,6 @@ class ScanIndex:
             ]
             self._columns = (order, firsts[:-1], columns, tails)
         return self._columns
-
-    def spans(self) -> list[RecordSpan]:
-        return [
-            RecordSpan(int(s), int(e), bool(m))
-            for s, e, m in zip(self.rec_starts, self.rec_ends, self.rec_malformed)
-        ]
 
     def record_of(self, positions: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.rec_starts, positions, side="right") - 1
@@ -472,7 +465,6 @@ def _gram_hit_mask(index: ScanIndex, pattern: bytes, block: int) -> np.ndarray:
 
 def string_fire_positions(index: ScanIndex, pattern: bytes, block: int) -> np.ndarray:
     """Positions where the block matcher's run counter sits at threshold."""
-    pattern = pattern if isinstance(pattern, bytes) else pattern.encode()
     block = resolve_block_len(pattern, block)
     if block == len(pattern):
         return _exact_fire_positions(index, pattern)
@@ -598,9 +590,8 @@ class CorpusIndex:
     def records(self) -> list[bytes]:
         return [self.index.raw[int(s) : int(e)] for s, e in zip(self.index.rec_starts, self.index.rec_ends)]
 
-    def string_fires(self, pattern: str | bytes, block: int) -> PrimitiveFires:
+    def string_fires(self, pattern: bytes, block: int) -> PrimitiveFires:
         """Fires of the block matcher; ``block`` is resolved, as in a plan leaf."""
-        pattern = pattern.encode() if isinstance(pattern, str) else pattern
         key = ("s", pattern, block)
         if key not in self._cache:
             pos = string_fire_positions(self.index, pattern, block)

@@ -43,7 +43,7 @@ from conftest import (
     random_json_record,
     senml_record,
 )
-from probes import in_string_at
+from probes import in_string_at, spans
 
 
 def fuzz_stream(seed: int, n: int = 150) -> bytes:
@@ -75,7 +75,7 @@ def test_masks_levels_and_spans_match_reference(seed):
     assert in_string_at(index, every).tolist() == [e.in_string for e in events]
     assert index.level_at(every).tolist() == [e.level for e in events]
     expected = [(s.start, s.end, s.malformed) for s in segment_records(data)]
-    assert expected == [(s.start, s.end, s.malformed) for s in index.spans()]
+    assert expected == [(s.start, s.end, s.malformed) for s in spans(index)]
 
 
 def _partition(labels) -> set:
@@ -116,7 +116,7 @@ def assert_index_matches_reference(data: bytes):
     assert in_string_at(index, every).tolist() == [e.in_string for e in events], data
     assert index.level_at(every).tolist() == [e.level for e in events], data
     expected = [(s.start, s.end, s.malformed) for s in segment_records(data)]
-    assert expected == [(s.start, s.end, s.malformed) for s in index.spans()], data
+    assert expected == [(s.start, s.end, s.malformed) for s in spans(index)], data
     opens = [e.offset for e in events if not e.in_string and e.byte in b"{["]
     assert index.open_pos.tolist() == opens, data
     commas = [(e.offset, e.level) for e in events if e.structural_comma]
@@ -304,11 +304,11 @@ def test_range_bounds_share_one_token_decode(data, carry):
         if carry:
             number_fire_positions(index, bounds[0])
             index = drop_last_record(index)
-        spans = index.spans()
+        kept = spans(index)
         for rdfa in bounds:
             fire_pos, attr_pos, records = number_fire_positions(index, rdfa)
             got = (fire_pos.tolist(), attr_pos.tolist(), records.tolist())
-            assert got == _range_matcher_fires(data, spans, rdfa)
+            assert got == _range_matcher_fires(data, kept, rdfa)
             if carry:
                 assert (fire_pos <= index.rec_ends[-1]).all()
 
@@ -383,7 +383,7 @@ def test_one_long_number_costs_linear_time():
     for bounds in [("0.7", "35.1"), (1345, 26282)]:
         rdfa = _range_dfa(bounds)
         got = tuple(column.tolist() for column in number_fire_positions(index, rdfa))
-        assert got == _range_matcher_fires(data, index.spans(), rdfa)
+        assert got == _range_matcher_fires(data, spans(index), rdfa)
 
     filler = fuzz_records(21, 3000)
     data = filler + long_record + filler
@@ -690,10 +690,10 @@ def test_a_piece_indexed_at_its_depth_matches_the_reference(seed):
     # scopes and segments start at position 0.
     data = cut_stream()[:20000] + malformed_stream(seed)
     events = reference_arrays(data)
-    spans = segment_records(data)
+    reference = segment_records(data)
     rng = random.Random(seed)
     # Commas inside bracketed records: a scalar record is never cut.
-    bracketed = [(s.start, s.end) for s in spans if data[s.start] in b"{["]
+    bracketed = [(s.start, s.end) for s in reference if data[s.start] in b"{["]
     commas = [e for e in events if e.structural_comma and any(a < e.offset < b for a, b in bracketed)]
     for comma in rng.sample(commas, 40):
         cut = comma.offset + 1
@@ -705,10 +705,10 @@ def test_a_piece_indexed_at_its_depth_matches_the_reference(seed):
         assert list(zip(index.commas.tolist(), index.comma_level.tolist())) == [
             (e.offset - cut, e.level) for e in rest if e.structural_comma
         ]
-        continued = next(s for s in spans if s.start < cut <= s.end)
+        continued = next(s for s in reference if s.start < cut <= s.end)
         expected = [(0, continued.end - cut, continued.malformed)]
-        expected += [(s.start - cut, s.end - cut, s.malformed) for s in spans if s.start >= cut]
-        assert [(s.start, s.end, s.malformed) for s in index.spans()] == expected
+        expected += [(s.start - cut, s.end - cut, s.malformed) for s in reference if s.start >= cut]
+        assert [(s.start, s.end, s.malformed) for s in spans(index)] == expected
         for mode in (Mode.SCOPED, Mode.KEYVALUE):
             rows = index.open_rows(mode, 0, comma.level)
             assert index.start_table(mode)[rows].tolist() == [level * (len(rest) + 1) for level in range(1, comma.level + 1)]
