@@ -57,7 +57,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _COLUMN_MIN_TOKENS = 64
 # Streams are indexed in blocks of at most this many bytes: a block's tables
 # (int64 positions over 43% of SenML's bytes, masks, token tables) then stay
-# near a core's L2 cache, where a whole 4 MiB read builds ~14 MiB of positions.
+# near a core's L2 cache, where a whole 4 MiB block builds ~14 MiB of positions.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -717,9 +717,9 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
     data, eof = b"", False
     while True:
         while not eof and len(data) < size:
-            more = stream.read(size - len(data))
-            eof = not more
-            data += more
+            have = len(data)
+            data += stream.read(size - have)
+            eof = len(data) == have
         if not data:
             break
         index = build_scan_index(data, depth)

@@ -145,8 +145,8 @@ def cmd_compile(args) -> int:
 
 
 def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 << 22) -> dict:
-    """Filter `source`, read `chunk_bytes` at a time, one index block at a
-    time; accepted records go to `out`. A record longer than a block comes
+    """Filter `source`, read and indexed one block of at most `chunk_bytes`
+    at a time; accepted records go to `out`. A record longer than a block comes
     in pieces: its filter state goes on from each piece to the next, and its
     pieces are held until the last one decides it. Only `workers=1` is
     accepted: there is one driver."""

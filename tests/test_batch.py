@@ -577,8 +577,8 @@ def _stats_of_the_records(stats: dict) -> dict:
 @pytest.mark.parametrize("cfg", chunk_configs(), ids=lambda cfg: "-".join(p.mode.value for p in cfg.predicates))
 def test_chunked_runs_write_the_unchunked_output(cfg, monkeypatch):
     # Chunk carries drop a buffer's last record; a fire in the dropped tail
-    # must not latch the record before it. Index blocks cut each read again,
-    # so their boundaries land anywhere in it.
+    # must not latch the record before it. `chunk_bytes` caps the block, so
+    # block boundaries land anywhere.
     from rawfilter.cli import _run_stream
 
     ast = parse_query(MALFORMED_QUERY)
