@@ -696,10 +696,11 @@ def primitive_fire_counts(corpus: CorpusIndex, ast: QueryAst, cfg) -> dict:
 def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
     """Yield (ScanIndex, buffer) over the blocks of a stream.
 
-    Holds one buffer: reads until it holds a block of `_BLOCK_BYTES` bytes
-    (`chunk_bytes`, if that is less) or the stream ends, indexes it, yields
-    the block and keeps the bytes past its end for the next one. A block's
-    last record, which may go on past its end, starts the next block.
+    Holds one buffer: reads until it holds at least a block of
+    `_BLOCK_BYTES` bytes (`chunk_bytes`, if that is less) or the stream
+    ends, indexes it, yields the block and keeps the bytes past its end for
+    the next one. A block's last record, which may go on past its end,
+    starts the next block.
 
     A block that holds nothing but one unfinished bracketed record is cut
     just past a structural comma (`cut_last_record`), and the next
@@ -708,7 +709,7 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
     the next. A block with no such comma (one huge string or number), a
     scalar record, and any record when one of the string `patterns` holds a
     comma (a run of gram hits or an occurrence could span the cut) grow to
-    twice the size and are indexed again, so a huge record costs linear
+    twice their length and are indexed again, so a huge record costs linear
     scanning. Each index's `scanned_bytes` counts those failed attempts too.
     """
     limit = min(_BLOCK_BYTES, chunk_bytes)
@@ -716,10 +717,15 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
     size, retried, depth = limit, 0, 0
     data, eof = b"", False
     while True:
-        while not eof and len(data) < size:
-            have = len(data)
-            data += stream.read(size - have)
-            eof = len(data) == have
+        # Short reads are joined once per block, so filling it takes time
+        # linear in the block, however small the reads.
+        pieces, have = [data], len(data)
+        while not eof and have < size:
+            pieces.append(stream.read(size - have))
+            have += len(pieces[-1])
+            eof = not pieces[-1]
+        data = b"".join(pieces)
+        del pieces  # only the joined block stays
         if not data:
             break
         index = build_scan_index(data, depth)
@@ -732,7 +738,7 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
                 index = cut_last_record(index) if cuts else None
                 if index is None:
                     retried += end
-                    size *= 2
+                    size = 2 * end
                     continue
                 end = int(index.rec_ends[-1])
             elif int(index.rec_ends[-1]) == end:
