@@ -682,6 +682,37 @@ def test_run_memory_follows_the_block(monkeypatch):
     assert peaks[1] < 1.2 * peaks[0], peaks
 
 
+def test_a_block_of_blanks_ends_where_it_ends(monkeypatch):
+    # Blanks between records at depth 0 hold no record, so a block of them
+    # carries nothing into the next: a blank run 64 blocks long is read as
+    # 64 blocks, not indexed again and again as one growing block.
+    import tracemalloc
+
+    from rawfilter.cli import _run_stream
+
+    block = 1 << 14
+    ast = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
+    cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, 2)))
+    match = b'{"temperature":20.5,"humidity":40}\n'
+    data = fuzz_stream(22, 20) + match + b" " * (64 * block) + b"\n" + match + fuzz_stream(23, 20)
+    monkeypatch.setattr(batch, "_BLOCK_BYTES", len(data))
+    whole = io.BytesIO()
+    whole_stats = _run_stream(ast, cfg, io.BytesIO(data), whole, chunk_bytes=len(data))
+    assert whole_stats["chunks"] == 1
+    monkeypatch.setattr(batch, "_BLOCK_BYTES", block)
+    source, out = io.BytesIO(data), io.BytesIO()
+    tracemalloc.start()
+    try:
+        stats = _run_stream(ast, cfg, source, out, chunk_bytes=1 << 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue() == whole.getvalue()
+    assert _stats_of_the_records(stats) == _stats_of_the_records(whole_stats)
+    assert stats["chunks"] >= 64 and stats["rescanned_bytes"] < 2 * block, stats
+    assert peak < 32 * block, peak
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_a_piece_indexed_at_its_depth_matches_the_reference(seed):
     # The rest of a stream after a structural comma inside a record, indexed

@@ -80,3 +80,7 @@ def test_traced_counts_equal_direct_calls():
     assert metrics["ranges.fires"] == range_fires
     assert metrics["ranges.heuristic_share"] == heuristic / range_fires
     assert metrics["strings.fires"] == string_fires
+    # The run validates its configuration once and hands the plan to both
+    # batch calls of every block, under the names the tracer patches.
+    names = ("filter.validate_config", "batch.evaluate_config_batch", "batch.primitive_fire_counts")
+    assert [sum(span.name == name for span in spans) for name in names] == [1, chunks, chunks]
