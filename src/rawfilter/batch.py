@@ -42,8 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .filter import Mode, Plan, PlanAnd, PlanLeaf, plan_leaves, string_notation, validate_config
-from .query import QueryAst
+from .filter import Mode, Plan, PlanAnd, PlanLeaf, plan_leaves, string_notation
 from .ranges import RangeDfa, build_range_dfa
 from .strings import build_substring_set, resolve_block_len
 
@@ -670,18 +669,18 @@ def plan_accepts(plan: Plan, leaf) -> np.ndarray:
     return out
 
 
-def evaluate_config_batch(corpus: CorpusIndex, ast: QueryAst, cfg) -> np.ndarray:
-    """Fresh accept vector over all records for one configuration; an invalid
-    configuration raises `filter.validate_config`'s `ConfigError`."""
-    return plan_accepts(validate_config(ast, cfg), lambda leaf: corpus.predicate_vector(leaf).copy())
+def evaluate_config_batch(corpus: CorpusIndex, plan: Plan) -> np.ndarray:
+    """Fresh accept vector over all records for one plan, as
+    `filter.validate_config` builds it from a query and a configuration."""
+    return plan_accepts(plan, lambda leaf: corpus.predicate_vector(leaf).copy())
 
 
-def primitive_fire_counts(corpus: CorpusIndex, ast: QueryAst, cfg) -> dict:
-    """Records latched per primitive, keyed by notation; a record cut at the
-    end of the buffer counts where it ends."""
+def primitive_fire_counts(corpus: CorpusIndex, plan: Plan) -> dict:
+    """Records latched per primitive of a plan, keyed by notation; a record
+    cut at the end of the buffer counts where it ends."""
     counts: dict[str, int] = {}
     n = corpus.index.n_ended
-    for leaf in plan_leaves(validate_config(ast, cfg)):
+    for leaf in plan_leaves(plan):
         value = corpus.range_fires(leaf.pred.bound)
         counts[leaf.pred.bound.notation()] = int(value.latch[:n].sum())
         if leaf.block is not None:
@@ -700,7 +699,8 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
     `_BLOCK_BYTES` bytes (`chunk_bytes`, if that is less) or the stream
     ends, indexes it, yields the block and keeps the bytes past its end for
     the next one. A block's last record, which may go on past its end,
-    starts the next block.
+    starts the next block; a block with no record holds only blanks (a
+    continued piece is its block's record 0), so it ends where it ends.
 
     A block that holds nothing but one unfinished bracketed record is cut
     just past a structural comma (`cut_last_record`), and the next
@@ -733,15 +733,15 @@ def iter_chunk_indexes(stream, chunk_bytes: int = 1 << 22, patterns=()):
         # At the end of the stream the block is the rest of it, and its last
         # record ends there.
         if not eof:
-            if not index.n_records or index.n_records == 1 and int(index.rec_ends[0]) == end:
-                # No record, or one that may go on: cut it, or grow the block.
+            if index.n_records == 1 and int(index.rec_ends[0]) == end:
+                # One record that may go on: cut it, or grow the block.
                 index = cut_last_record(index) if cuts else None
                 if index is None:
                     retried += end
                     size = 2 * end
                     continue
                 end = int(index.rec_ends[-1])
-            elif int(index.rec_ends[-1]) == end:
+            elif index.n_records and int(index.rec_ends[-1]) == end:
                 end = int(index.rec_starts[-1])
                 index = drop_last_record(index)
         index.scanned_bytes += retried

@@ -145,11 +145,11 @@ def cmd_compile(args) -> int:
 
 
 def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 << 22) -> dict:
-    """Filter `source`, read and indexed one block of at most `chunk_bytes`
-    at a time; accepted records go to `out`. A record longer than a block comes
-    in pieces: its filter state goes on from each piece to the next, and its
-    pieces are held until the last one decides it. Only `workers=1` is
-    accepted: there is one driver."""
+    """Filter `source` by the one plan its configuration validates to, read
+    and indexed one block of at most `chunk_bytes` at a time; accepted records
+    go to `out`. A record longer than a block comes in pieces: its filter
+    state goes on from each piece to the next, and its pieces are held until
+    the last one decides it. Only `workers=1` is accepted: there is one driver."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
     plan = validate_config(ast, cfg)
@@ -160,8 +160,8 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
     started = time.perf_counter()
     for index, buffer in iter_chunk_indexes(source, chunk_bytes, patterns):
         corpus = CorpusIndex(buffer, index, carry)
-        accepts = evaluate_config_batch(corpus, ast, cfg)
-        for key, count in primitive_fire_counts(corpus, ast, cfg).items():
+        accepts = evaluate_config_batch(corpus, plan)
+        for key, count in primitive_fire_counts(corpus, plan).items():
             fires[key] = fires.get(key, 0) + count
         chunks += 1
         bytes_in += len(buffer)
@@ -191,7 +191,7 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
         out.write(b"\n".join(kept))  # one write per index block
         del corpus, index, buffer  # freed before the next chunk is read and indexed
     if not chunks:  # an empty stream: every primitive of the plan counts 0
-        fires = primitive_fire_counts(CorpusIndex(b""), ast, cfg)
+        fires = primitive_fire_counts(CorpusIndex(b""), plan)
     elapsed = max(time.perf_counter() - started, 1e-9)
     return {
         "records_in": records_in,

@@ -415,7 +415,7 @@ def evaluate_all(
             ):
                 reports[i] = EvalReport(configs[i], text, tp_i, fp_i, n - tp_i - fn_i - fp_i, fn_i, cost_i, wall, i)
     if failing < len(configs):
-        accepts = evaluate_config_batch(corpus, ast, configs[failing])  # an invalid config raises here
+        accepts = evaluate_config_batch(corpus, validate_config(ast, configs[failing]))  # raises if invalid
         record = int(np.flatnonzero(labels.exact_match & labels.parse_ok & ~accepts)[0])
         raise FalseNegativeError(
             f"record {record} matches the query but was filtered out by {reports[failing].notation}"

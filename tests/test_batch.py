@@ -189,7 +189,7 @@ def test_batch_matches_reference_on_malformed_streams(seed):
     assert records == [s.slice(data) for s in segment_records(data)]
     for cfg in enumerate_configs(ast, ALL_MODES)[seed::7]:
         expr = compile_filter(ast, cfg)
-        assert evaluate_config_batch(corpus, ast, cfg).tolist() == [
+        assert evaluate_config_batch(corpus, validate_config(ast, cfg)).tolist() == [
             accepts(expr, r) for r in records
         ], config_notation(ast, cfg)
 
@@ -202,7 +202,7 @@ def test_level0_segments_run_from_the_record_start(record):
     cfg = FilterConfig((PredicateConfig(Mode.KEYVALUE, "N"),))
     corpus = CorpusIndex(record + b"\n")
     expected = [accepts(compile_filter(ast, cfg), r) for r in corpus.records()]
-    assert evaluate_config_batch(corpus, ast, cfg).tolist() == expected == [False]
+    assert evaluate_config_batch(corpus, validate_config(ast, cfg)).tolist() == expected == [False]
 
 
 _UTF8 = '{"temp\u00e9rature":20}\n{"x":"temp\u00e9rature","y":"temp\u00e9ratur"}\n'.encode()
@@ -395,7 +395,7 @@ def test_one_long_number_costs_linear_time():
         times = []
         for _ in range(3):
             started = time.perf_counter()
-            evaluate_config_batch(CorpusIndex(stream), ast, cfg)
+            evaluate_config_batch(CorpusIndex(stream), validate_config(ast, cfg))
             times.append(time.perf_counter() - started)
         return min(times)
 
@@ -416,7 +416,7 @@ def test_accept_vectors_match_filter_record(mode):
     cfg = FilterConfig((PredicateConfig(mode, block),))
     data = fuzz_stream(8)
     corpus = CorpusIndex(data)
-    vector = evaluate_config_batch(corpus, ast, cfg)
+    vector = evaluate_config_batch(corpus, validate_config(ast, cfg))
     expr = compile_filter(ast, cfg)
     expected = [accepts(expr, record) for record in corpus.records()]
     assert vector.tolist() == expected
@@ -435,7 +435,7 @@ def test_multi_predicate_accept_vector_matches():
     )
     data = fuzz_stream(9)
     corpus = CorpusIndex(data)
-    vector = evaluate_config_batch(corpus, ast, cfg)
+    vector = evaluate_config_batch(corpus, validate_config(ast, cfg))
     expr = compile_filter(ast, cfg)
     assert vector.tolist() == [accepts(expr, record) for record in corpus.records()]
 
@@ -444,16 +444,16 @@ def test_returned_accept_vectors_are_fresh_and_cache_is_read_only():
     ast = parse_query('(0.7 <= "temperature" <= 35.1) OR (20 <= "humidity" <= 69)')
     cfg = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.VALUE_ONLY)))
     corpus = CorpusIndex(fuzz_stream(11))
-    first = evaluate_config_batch(corpus, ast, cfg)
+    first = evaluate_config_batch(corpus, validate_config(ast, cfg))
     expected = first.copy()
     first[:] = ~first
-    assert evaluate_config_batch(corpus, ast, cfg).tolist() == expected.tolist()
+    assert evaluate_config_batch(corpus, validate_config(ast, cfg)).tolist() == expected.tolist()
     single = parse_query('(0.7 <= "temperature" <= 35.1)')
     for pc in (PredicateConfig(Mode.VALUE_ONLY), PredicateConfig(Mode.KEYVALUE, 2)):
         one = FilterConfig((pc,))
-        vector = evaluate_config_batch(corpus, single, one)
+        vector = evaluate_config_batch(corpus, validate_config(single, one))
         vector[:] = True
-        again = evaluate_config_batch(corpus, single, one)
+        again = evaluate_config_batch(corpus, validate_config(single, one))
         leaf = validate_config(single, one)
         assert again.tolist() == corpus.predicate_vector(leaf).tolist()
         with pytest.raises(ValueError):
@@ -468,7 +468,7 @@ def test_corpus_index_is_freed_without_a_gc_pass():
     gc.disable()
     try:
         corpus = CorpusIndex(fuzz_stream(12))
-        evaluate_config_batch(corpus, ast, cfg)
+        evaluate_config_batch(corpus, validate_config(ast, cfg))
         ref = weakref.ref(corpus)
         del corpus
         assert ref() is None
@@ -530,10 +530,10 @@ def test_scoped_plan_builds_no_segment_table():
     ast = parse_query('(0.7 <= "temperature" <= 35.1) AND (20 <= "humidity" <= 69)')
     corpus = CorpusIndex(fuzz_stream(15))
     scoped = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.FLAT, 2)))
-    evaluate_config_batch(corpus, ast, scoped)
+    evaluate_config_batch(corpus, validate_config(ast, scoped))
     assert list(corpus.index._starts) == [Mode.SCOPED]
     keyvalue = FilterConfig((PredicateConfig(Mode.SCOPED, 1), PredicateConfig(Mode.KEYVALUE, 2)))
-    evaluate_config_batch(corpus, ast, keyvalue)
+    evaluate_config_batch(corpus, validate_config(ast, keyvalue))
     assert list(corpus.index._starts) == [Mode.SCOPED, Mode.KEYVALUE]
 
 

@@ -572,7 +572,7 @@ def test_every_valid_config_agrees_with_the_compiled_reference(ast, seed):
     records = corpus.records()
     for cfg in enumerate_configs(ast, ALL_MODES):
         expr = compile_filter(ast, cfg)
-        assert evaluate_config_batch(corpus, ast, cfg).tolist() == [
+        assert evaluate_config_batch(corpus, validate_config(ast, cfg)).tolist() == [
             accepts(expr, r) for r in records
         ], config_notation(ast, cfg)
         assert expr.notation() == config_notation(ast, cfg)

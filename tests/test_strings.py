@@ -186,7 +186,9 @@ def test_block_n_of_a_non_ascii_attribute_is_its_utf8_byte_length():
     from rawfilter.batch import CorpusIndex, evaluate_config_batch
     from rawfilter.cli import render_descriptor
     from rawfilter.explorer import DEFAULT_COST_MODEL, config_notation
-    from rawfilter.filter import FilterConfig, Mode, PredicateConfig, accepts, compile_filter, parse_config
+    from rawfilter.filter import (
+        FilterConfig, Mode, PredicateConfig, accepts, compile_filter, parse_config, validate_config,
+    )
     from rawfilter.query import parse_query
 
     query = '(0.7 <= "ééé" <= 35.1)'
@@ -195,7 +197,7 @@ def test_block_n_of_a_non_ascii_attribute_is_its_utf8_byte_length():
     record = b'{"x\xa9\xc3\xa9\xc3\xa9\xc3":20}'
     corpus = CorpusIndex(record + b"\n")
     reference = [accepts(compile_filter(ast, cfg), r) for r in corpus.records()]
-    assert evaluate_config_batch(corpus, ast, cfg).tolist() == reference == [False]
+    assert evaluate_config_batch(corpus, validate_config(ast, cfg)).tolist() == reference == [False]
     assert config_notation(ast, cfg) == '( s6("ééé") & v(0.7<=f<=35.1) )'
     assert 'primitive: s6("ééé") N=6 B=6 ' in render_descriptor(query, ast, cfg, DEFAULT_COST_MODEL)
     assert parse_config("ééé FLAT 6\n", ast).predicates == (PredicateConfig(Mode.FLAT, 6),)
