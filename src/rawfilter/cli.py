@@ -149,7 +149,7 @@ def _run_stream(ast, cfg, source, out, workers: int = 1, chunk_bytes: int = 1 <<
     and indexed one block of at most `chunk_bytes` at a time; accepted records
     go to `out`. A record longer than a block comes in pieces: its filter
     state goes on from each piece to the next, and its pieces are held until
-    the last one decides it. Only `workers=1` is accepted: there is one driver."""
+    the last one decides it. Only `workers=1` is accepted: one loop reads all."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
     plan = validate_config(ast, cfg)
